@@ -36,18 +36,19 @@ class Thresholds:
         return dict(self.__dict__)
 
 
-def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict:
+def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows=None) -> dict:
     """Curvature extremes over the sphere minus delta-balls at marked points.
 
     ``delta_exclusion`` must stay outside the smoothed cone cores
-    (at least 2 eps).
+    (at least 2 eps).  ``rows`` are precomputed geodesic rows covering the
+    marked points (see :func:`conicflow.geometry.geodesic_rows`).
     """
     eps = state.background.eps
     if delta_exclusion < 2.0 * eps:
         raise ValueError(f"delta_exclusion must be >= 2 eps = {2 * eps}")
     mask = np.ones(state.grid.n, dtype=bool)
-    for p in state.grid.marked_points:
-        mask &= geo.distances_from(state, p) > delta_exclusion
+    for d in geo.marked_rows(state, rows):
+        mask &= d > delta_exclusion
     if state.grid.n_lon > 1:
         # the pole closure is first-order; its two rows carry ~1e-4 of the
         # area but would pollute sup-norms of imported (non-flow) states
@@ -79,13 +80,13 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict:
     }
 
 
-def marked_point_clusters(state: geo.MetricState, tol: float):
+def marked_point_clusters(state: geo.MetricState, tol: float, rows=None):
     """Single-linkage clustering of the marked points under the geodesic
     distance; returns (clusters as sorted index lists, distance matrix)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     k = len(state.grid.marked_points)
-    dmat = geo.pairwise_marked_distances(state)
+    dmat = geo.pairwise_marked_distances(state, rows)
     parent = list(range(k))
 
     def find(i):
@@ -122,7 +123,7 @@ def model_cap_area(r: float, curvature: float) -> float:
     return (1.0 - math.cos(arg)) / curvature
 
 
-def volume_ratio(state: geo.MetricState, p, r: float) -> float:
+def volume_ratio(state: geo.MetricState, p, r: float, rows=None) -> float:
     """ball_volume / model cap area at constant curvature 1 - beta_max."""
     if r <= 0:
         raise ValueError("radius must be positive")
@@ -131,7 +132,7 @@ def volume_ratio(state: geo.MetricState, p, r: float) -> float:
         if state.background.divisor and state.background.divisor.k
         else 0.0
     )
-    return geo.ball_volume(state, p, r) / model_cap_area(r, 1.0 - bmax)
+    return geo.ball_volume(state, p, r, rows) / model_cap_area(r, 1.0 - bmax)
 
 
 # ----------------------------------------------------------------------
@@ -139,12 +140,12 @@ def volume_ratio(state: geo.MetricState, p, r: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def curvature_area_curve(state: geo.MetricState, center, bins: int = 64):
+def curvature_area_curve(state: geo.MetricState, center, bins: int = 64, rows=None):
     """Mass-weighted mean smooth-part curvature in uniform cumulative-area
     bins, measured outward from ``center``; returns (bin centers, means).
     Matches the convention of :class:`conicflow.soliton.RadialProfile`,
     whose R is also the curvature of the punctured surface."""
-    d = geo.distances_from(state, center)
+    d = geo.distances_from(state, center, rows)
     order = np.argsort(d)
     mass = state.mass[order]
     R = geo.conical_curvature(state)[order]
@@ -165,6 +166,7 @@ def compare_to_profile(
     bins: int = 64,
     enforce_bipolar: bool = True,
     cluster_tol: float = 0.3,
+    rows=None,
 ) -> float:
     """RMS mismatch between the state's curvature-vs-area curve and the
     profile's, measured from the deepest cone point.
@@ -178,11 +180,11 @@ def compare_to_profile(
     if k == 0:
         raise ValueError("profile comparison needs marked points")
     if enforce_bipolar and k > 2:
-        clusters, _ = marked_point_clusters(state, cluster_tol)
+        clusters, _ = marked_point_clusters(state, cluster_tol, rows)
         if len(clusters) > 2:
             raise ValueError("cluster structure not bipolar; cannot define the axis")
     center = state.grid.marked_points[k - 1]  # weights sorted: deepest cone last
-    a, r_state = curvature_area_curve(state, center, bins)
+    a, r_state = curvature_area_curve(state, center, bins, rows)
     keep = (a >= margin) & (a <= 2.0 - margin) & np.isfinite(r_state)
     r_prof = profile.curvature_of_area(a[keep])
     diff = r_state[keep] - r_prof
@@ -327,8 +329,9 @@ def detect_convergence(
     th = thresholds or Thresholds()
     bg = final_state.background
     delta = max(th.delta_exclusion, 2.0 * bg.eps)
-    stats = curvature_stats(final_state, delta)
-    clusters, dmat = marked_point_clusters(final_state, th.cluster_tol)
+    rows = geo.geodesic_rows(final_state, final_state.grid.marked_points)
+    stats = curvature_stats(final_state, delta, rows)
+    clusters, dmat = marked_point_clusters(final_state, th.cluster_tol, rows)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # k = 2 limit targets
         dclass = classify_stability(divisor) if divisor.k else StabilityClass.STABLE
@@ -360,7 +363,7 @@ def detect_convergence(
                 "rerun with smaller eps"
             )
     else:
-        resid = fn.soliton_residual(final_state)
+        resid = fn.soliton_residual(final_state, rows=rows)
         residuals["soliton_residual"] = resid
         if len(clusters) == 2:
             best = None
@@ -369,7 +372,8 @@ def detect_convergence(
                     continue
                 prof = sol.soliton_profile(ld.beta_p, ld.beta_q)
                 r = compare_to_profile(
-                    final_state, prof, margin=th.profile_margin, enforce_bipolar=False
+                    final_state, prof, margin=th.profile_margin, enforce_bipolar=False,
+                    rows=rows,
                 )
                 if best is None or r < best[0]:
                     best = (r, ld, prof)

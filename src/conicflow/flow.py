@@ -318,7 +318,8 @@ def _relative_entropy(state, r_cone, chow_s):
 
 
 def _sample_record(state, rp, chow_s, drift, config):
-    bg = state.background
+    # one geodesic pass serves every distance monitor of this sample
+    rows = geo.geodesic_rows(state, geo.diameter_sources(state))
     R = geo.scalar_curvature(state)
     r_cone = geo.conical_curvature(state)
     rec = {
@@ -332,20 +333,20 @@ def _sample_record(state, rp, chow_s, drift, config):
         "hamilton_entropy": _relative_entropy(state, r_cone, chow_s),
         "chow_s": chow_s,
         "w_normalized": fn.normalized_w(state, -rp.v),
-        "soliton_residual": fn.soliton_residual(state, rp.v),
+        "soliton_residual": fn.soliton_residual(state, rp.v, rows=rows),
         "renorm_drift": drift,
     }
     k = len(state.grid.marked_points)
     if k:
-        dmat = geo.pairwise_marked_distances(state)
+        dmat = geo.pairwise_marked_distances(state, rows)
         for i in range(k):
             for j in range(i + 1, k):
                 rec[f"d_p{i + 1}_p{j + 1}"] = dmat[i, j]
         for i in range(k):
             rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(
-                state, state.grid.marked_points[i], config.ball_radius
+                state, state.grid.marked_points[i], config.ball_radius, rows
             )
-    rec["diameter"] = geo.diameter_estimate(state)
+    rec["diameter"] = geo.diameter_estimate(state, rows=rows)
     return rec
 
 
@@ -405,13 +406,17 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
     implicit = _ImplicitStepper(bg)
 
     def record():
+        """Append one sample; a non-finite monitor ends the run after it."""
         rp = fn.ricci_potential(state)
         s = fn.chow_shift(s0, state.t, half_chi)
         rows.append(_sample_record(state, rp, s, drift_last, config))
         times.append(state.t)
+        bad = next((k for k, v in rows[-1].items() if not math.isfinite(v)), None)
+        if bad is not None:
+            raise FlowError(f"non-finite monitor {bad} at t = {state.t:g}")
 
-    record()
     try:
+        record()
         for n in range(1, n_steps + 1):
             if config.stepper == "rk2":
                 state = step(state, config.dt)

@@ -308,7 +308,7 @@ def _theta_derivative(f2d: np.ndarray, h: float):
 
 
 def soliton_residual(
-    state: MetricState, v: np.ndarray = None, exclude_radius: float = None
+    state: MetricState, v: np.ndarray = None, exclude_radius: float = None, rows=None
 ) -> float:
     """integral |grad^2 v - (Lap v) g / 2|^2 dg by finite differences.
 
@@ -319,7 +319,9 @@ def soliton_residual(
     Riemannian one of the area-2-normalized metric.  The two pole rows and
     geodesic balls of radius ``exclude_radius`` (default max(0.15, 2 eps))
     around the marked points are excluded: inside the smoothed cores the
-    potential carries the eps-regularization bowl, not geometry.
+    potential carries the eps-regularization bowl, not geometry.  ``rows``
+    are precomputed :func:`conicflow.geometry.geodesic_rows` covering the
+    marked points.
     """
     grid = state.grid
     if v is None:
@@ -327,8 +329,8 @@ def soliton_residual(
     if exclude_radius is None:
         exclude_radius = max(0.15, 2.0 * state.background.eps)
     core_mask = np.ones(grid.n, dtype=bool)
-    for p in grid.marked_points:
-        core_mask &= geo.distances_from(state, p) > exclude_radius
+    for d in geo.marked_rows(state, rows):
+        core_mask &= d > exclude_radius
     nlat, nlon = grid.n_lat, grid.n_lon
     v2 = np.asarray(v, dtype=float).reshape(nlat, nlon)
     log_dens = (state.background.log_rho + state.u).reshape(nlat, nlon)

@@ -548,55 +548,81 @@ def _edge_graph(state: MetricState) -> sp.csr_matrix:
     data = np.concatenate([wts, pole_wts])
     return sp.coo_matrix((data, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
 
-def distances_from(state: MetricState, source) -> np.ndarray:
-    """Graph geodesic distances from a point (or node index) to all nodes.
+
+def _node(state: MetricState, point) -> int:
+    return int(point) if isinstance(point, (int, np.integer)) else state.grid.nearest_node(point)
+
+
+def geodesic_rows(state: MetricState, sources) -> dict:
+    """Graph geodesic distances from each source (point or node index) to
+    all nodes, keyed by source node.
 
     8-neighbor Dijkstra with edge lengths scaled by e^(u/2); an upper bound
-    on the true distance, first-order convergent, and exactly a metric.
+    on the true distance, first-order convergent, and exactly a metric.  The
+    edge graph is built once and one multi-source Dijkstra serves every
+    distinct source node; each row equals its single-source run exactly.
     """
-    g = _edge_graph(state)
-    src = source if isinstance(source, (int, np.integer)) else state.grid.nearest_node(source)
-    d = _csgraph_dijkstra(g, directed=False, indices=int(src))
-    return d[: state.grid.n]
+    nodes = list(dict.fromkeys(_node(state, s) for s in sources))
+    if not nodes:
+        return {}
+    d = _csgraph_dijkstra(_edge_graph(state), directed=False, indices=nodes)
+    return {s: d[i, : state.grid.n] for i, s in enumerate(nodes)}
+
+
+def distances_from(state: MetricState, source, rows=None) -> np.ndarray:
+    """Graph geodesic distances from a point (or node index) to all nodes:
+    its row of ``rows`` when given, else a one-source :func:`geodesic_rows`."""
+    node = _node(state, source)
+    return (geodesic_rows(state, [node]) if rows is None else rows)[node]
+
+
+def marked_rows(state: MetricState, rows=None) -> list:
+    """Distance rows of the marked points, in marked-point order; one
+    :func:`geodesic_rows` pass when ``rows`` is not given."""
+    pts = state.grid.marked_points
+    if rows is None:
+        rows = geodesic_rows(state, pts)
+    return [rows[_node(state, p)] for p in pts]
 
 
 def geodesic_distance(state: MetricState, a, b) -> float:
-    d = distances_from(state, a)
-    bi = b if isinstance(b, (int, np.integer)) else state.grid.nearest_node(b)
-    return float(d[int(bi)])
+    return float(distances_from(state, a)[_node(state, b)])
 
 
-def pairwise_marked_distances(state: MetricState) -> np.ndarray:
-    pts = state.grid.marked_points
-    k = len(pts)
-    out = np.zeros((k, k))
-    for i in range(k):
-        d = distances_from(state, pts[i])
-        for j in range(k):
-            out[i, j] = d[state.grid.nearest_node(pts[j])]
+def pairwise_marked_distances(state: MetricState, rows=None) -> np.ndarray:
+    nodes = [_node(state, p) for p in state.grid.marked_points]
+    k = len(nodes)
+    out = np.array([d[nodes] for d in marked_rows(state, rows)]).reshape(k, k)
     return 0.5 * (out + out.T)
 
 
-def ball_volume(state: MetricState, center, r: float) -> float:
+def ball_volume(state: MetricState, center, r: float, rows=None) -> float:
     """dg-area of the geodesic ball of radius r about the given point."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
-    d = distances_from(state, center)
+    d = distances_from(state, center, rows)
     return float(np.sum(state.mass[d <= r]))
 
 
-def diameter_estimate(state: MetricState, extra_sources=()) -> float:
+def diameter_sources(state: MetricState, extra_sources=()) -> list:
+    """Source nodes of :func:`diameter_estimate`: the six coordinate-axis
+    nodes, the marked points and any extra points, without repeats."""
+    axes = ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1])
+    points = [*axes, *state.grid.marked_points, *extra_sources]
+    return list(dict.fromkeys(_node(state, p) for p in points))
+
+
+def diameter_estimate(state: MetricState, extra_sources=(), rows=None) -> float:
     """Max graph distance over a small source set (marked points plus the
     coordinate axes); a diagnostic, not a certified diameter."""
-    sources = [state.grid.nearest_node(v) for v in
-               ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1])]
-    sources += [state.grid.nearest_node(p) for p in state.grid.marked_points]
-    sources += [state.grid.nearest_node(p) for p in extra_sources]
+    sources = diameter_sources(state, extra_sources)
+    if rows is None:
+        rows = geodesic_rows(state, sources)
     best = 0.0
-    for s in dict.fromkeys(sources):
-        d = distances_from(state, s)
+    for s in sources:
+        d = rows[s]
         best = max(best, float(d[np.isfinite(d)].max()))
     return best
 

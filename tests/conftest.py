@@ -70,10 +70,12 @@ def shipped_runs(shipped_results):
 @pytest.fixture(scope="session")
 def unstable_eps_sweep(shipped_results, tmp_path_factory):
     """Epsilon-halving pair for the unstable config: the shipped eps = 0.05
-    run plus one at eps = 0.1."""
+    run plus a one-step run at eps = 0.1, whose t = 0 sample is the
+    regularized background that criterion 8c compares."""
     root = tmp_path_factory.mktemp("eps_sweep")
+    config = shipped_config("unstable", eps=0.1)
     coarse = cli.execute_run(
-        shipped_config("unstable", eps=0.1), str(root / "eps0.1"), config_hash="eps0.1"
+        replace(config, t_max=config.dt), str(root / "eps0.1"), config_hash="eps0.1"
     )
     return {0.1: coarse["trace"], 0.05: shipped_results["unstable"]["trace"]}
 

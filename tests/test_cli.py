@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -120,6 +121,29 @@ class TestRun:
         assert (out_dir / "report.json").exists()
         assert manifest["config_hash"]
         assert manifest["unit_constants"]["round_area"] == 2.0
+
+    def test_non_finite_monitor_fails_run(self, capsys, tmp_path, monkeypatch):
+        from conicflow import flow as fl
+        from conicflow import functionals as fn
+
+        real = fn.f_beta
+        calls = []
+
+        def f_beta(state, *args, **kwargs):
+            calls.append(state.t)
+            return math.nan if len(calls) == 2 else real(state, *args, **kwargs)
+
+        monkeypatch.setattr(fn, "f_beta", f_beta)
+        cfg = tiny_config(tmp_path, shipped_divisor("semistable"))
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir))
+        assert code == 2
+        status = "failed: non-finite monitor f_beta at t = 0.1"
+        assert json.loads((out_dir / "manifest.json").read_text())["status"] == status
+        assert status in out
+        trace = fl.FlowTrace.from_csv(str(out_dir / "trace.csv"))
+        assert len(trace.times) == len(calls) == 2
+        assert math.isfinite(trace["f_beta"][0]) and math.isnan(trace["f_beta"][1])
 
     def test_trace_byte_identical_across_runs(self, capsys, tmp_path):
         cfg = tiny_config(tmp_path, shipped_divisor("unstable"), initial="bump", seed=5)

@@ -220,6 +220,47 @@ class TestRun:
         assert snaps[0][0] == pytest.approx(0.5)
 
 
+class TestSharedGeodesicPass:
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = {"edge_graph": 0, "dijkstra": 0}
+
+        def counting(name, real):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(geo, "_edge_graph", counting("edge_graph", geo._edge_graph))
+        monkeypatch.setattr(
+            geo, "_csgraph_dijkstra", counting("dijkstra", geo._csgraph_dijkstra)
+        )
+        return counts
+
+    @staticmethod
+    def bumped_state(cfg):
+        grid = geo.build_grid(cfg.n_lat, cfg.n_lon, cfg.divisor)
+        bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
+        return geo.make_state(bg, fl._initial_field(cfg, grid, bg))
+
+    def test_one_pass_per_sample_record(self, counts):
+        cfg = small_config(initial="bump", bump_amplitude=0.3, seed=4)
+        state = self.bumped_state(cfg)
+        chow_s = min(0.0, float(geo.conical_curvature(state).min())) - 0.05
+        rec = fl._sample_record(state, fn.ricci_potential(state), chow_s, 0.0, cfg)
+        assert counts == {"edge_graph": 1, "dijkstra": 1}
+        assert {"d_p1_p2", "ball_ratio_p3", "diameter", "soliton_residual"} <= set(rec)
+
+    def test_one_pass_per_detect_convergence(self, counts):
+        from conicflow import diagnostics as diag
+
+        cfg = small_config(initial="bump", bump_amplitude=0.3, seed=4)
+        state = self.bumped_state(cfg)
+        diag.detect_convergence(None, state, cfg.divisor)
+        assert counts == {"edge_graph": 1, "dijkstra": 1}
+
+
 class TestAxisymmetric:
     def test_rejects_offaxis_divisor(self):
         cfg = small_config(divisor=shipped_divisor("stable"))

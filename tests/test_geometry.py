@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conicflow import diagnostics as diag
+from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
@@ -281,6 +283,71 @@ class TestDistances:
         d1 = geo.distances_from(st1, 0)
         d2 = geo.distances_from(st2, 0)
         assert np.all(d2 >= d1 - 1e-12)
+
+
+def _bumped_three_point_state():
+    div = Divisor([0.3, 0.3, 0.6], [[1.0, 0.2, 0.1], [0.9, -0.4, -0.2], [-1.0, 0.1, 0.3]])
+    grid = geo.build_grid(32, 64, div)
+    center = np.array([0.3, 0.5, 0.8]) / np.linalg.norm([0.3, 0.5, 0.8])
+    u = 0.4 * np.exp(-np.arccos(np.clip(grid.positions() @ center, -1, 1)) ** 2 / 0.5)
+    return geo.make_state(geo.background_metric(grid, div, 0.1), u)
+
+
+def _bumped_axis_state():
+    div = Divisor([0.3, 0.6], [[0, 0, 1.0], [0, 0, -1.0]])
+    grid = geo.build_axis_grid(64, div)
+    u = 0.3 * np.cos(grid.theta) + 0.2 * np.sin(grid.theta) ** 2
+    return geo.make_state(geo.background_metric(grid, div, 0.1), u)
+
+
+@pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])
+class TestSharedRows:
+    """One multi-source pass gives exactly what one-source calls give."""
+
+    def test_rows_equal_one_source_rows(self, make_state):
+        st = make_state()
+        sources = geo.diameter_sources(st)
+        rows = geo.geodesic_rows(st, sources)
+        assert list(rows) == sources
+        for s in sources:
+            assert np.array_equal(rows[s], geo.distances_from(st, s))
+
+    def test_monitors_equal_one_source_path(self, make_state):
+        st = make_state()
+        rows = geo.geodesic_rows(st, geo.diameter_sources(st))
+        pts = st.grid.marked_points
+        one = [geo.distances_from(st, p) for p in pts]
+        nodes = [st.grid.nearest_node(p) for p in pts]
+        d = np.array([[one[i][nodes[j]] for j in range(len(pts))] for i in range(len(pts))])
+        assert np.array_equal(geo.pairwise_marked_distances(st, rows), 0.5 * (d + d.T))
+        for p, row in zip(pts, one):
+            for r in (0.1, 0.2, 0.5):
+                assert geo.ball_volume(st, p, r, rows) == float(np.sum(st.mass[row <= r]))
+        diameter = max(
+            float(geo.distances_from(st, s).max()) for s in geo.diameter_sources(st)
+        )
+        assert geo.diameter_estimate(st, rows=rows) == diameter
+
+    def test_core_masks_equal_one_source_path(self, make_state):
+        st = make_state()
+        rows = geo.geodesic_rows(st, geo.diameter_sources(st))
+        one = {s: geo.distances_from(st, s) for s in rows}
+        v = fn.ricci_potential(st).v
+        assert fn.soliton_residual(st, v, rows=rows) == fn.soliton_residual(st, v, rows=one)
+        assert fn.soliton_residual(st, v, rows=rows) == fn.soliton_residual(st, v)
+        assert diag.curvature_stats(st, 0.25, rows) == diag.curvature_stats(st, 0.25, one)
+
+    def test_consumers_make_one_pass_without_rows(self, make_state, monkeypatch):
+        st = make_state()
+        calls = []
+        real = geo._csgraph_dijkstra
+        monkeypatch.setattr(
+            geo, "_csgraph_dijkstra", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        geo.pairwise_marked_distances(st)
+        geo.diameter_estimate(st)
+        fn.soliton_residual(st)
+        assert len(calls) == 3
 
 
 class TestBallVolume:
