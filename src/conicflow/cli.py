@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -157,8 +158,6 @@ def _config_hash(path: str) -> str:
 
 
 def _apply_overrides(config: fl.FlowConfig, args) -> fl.FlowConfig:
-    from dataclasses import replace
-
     kw = {}
     if args.resolution:
         try:
@@ -240,12 +239,10 @@ def cmd_run(args) -> int:
 # sweep
 # ----------------------------------------------------------------------
 
-SWEEP_KEYS = ("epsilon", "n_lat", "n_lon", "dt", "initial", "seed", "bump_amplitude")
-
-
 def parse_sweep_file(path: str):
     """Sweep schema: a base ``config = path`` line plus ``sweep_<key> = v1, v2``
-    lists; the cartesian product over all sweep lists defines the runs."""
+    lists, for any run-config key except ``divisor``; the cartesian product
+    over all sweep lists defines the runs."""
     base = None
     lists = {}
     with open(path) as fh:
@@ -260,15 +257,12 @@ def parse_sweep_file(path: str):
             if key == "config":
                 base = val if os.path.isabs(val) else os.path.join(
                     os.path.dirname(os.path.abspath(path)), val)
-            elif key.startswith("sweep_") and key[6:] in SWEEP_KEYS:
-                name = key[6:]
+            elif key.startswith("sweep_") and key[6:] in fl.CONFIG_KEYS.keys() - {"divisor"}:
                 items = [v.strip() for v in val.split(",") if v.strip()]
-                if name in ("n_lat", "n_lon", "seed"):
-                    lists[name] = [int(v) for v in items]
-                elif name in ("epsilon", "dt", "bump_amplitude"):
-                    lists[name] = [float(v) for v in items]
-                else:
-                    lists[name] = items
+                try:
+                    lists[key[6:]] = [fl.parse_config_value(key[6:], v)[1] for v in items]
+                except ValueError as exc:
+                    raise UsageError(f"sweep line {lineno}: {exc}") from exc
             else:
                 raise UsageError(f"sweep line {lineno}: unknown key {key!r}")
     if base is None:
@@ -279,12 +273,7 @@ def parse_sweep_file(path: str):
 
 
 def _sweep_one(payload):
-    base_config, overrides, out_dir, tag = payload
-    from dataclasses import replace
-
-    mapping = {"epsilon": "eps"}
-    kw = {mapping.get(k, k): v for k, v in overrides.items()}
-    config = replace(base_config, **kw)
+    config, overrides, out_dir, tag = payload
     try:
         result = execute_run(config, out_dir, tag)
         trace, report = result["trace"], result["report"]
@@ -315,7 +304,12 @@ def cmd_sweep(args) -> int:
     for combo in itertools.product(*(lists[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         tag = "run_" + "_".join(f"{k}{v}" for k, v in overrides.items())
-        jobs.append((base_config, overrides, os.path.join(out_root, tag), tag))
+        kw = {fl.CONFIG_KEYS[k][0]: v for k, v in overrides.items()}
+        try:
+            config = replace(base_config, **kw)
+        except ValueError as exc:
+            raise UsageError(f"bad sweep values {overrides}: {exc}") from exc
+        jobs.append((config, overrides, os.path.join(out_root, tag), tag))
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_one, jobs))
@@ -352,7 +346,11 @@ def cmd_report(args) -> int:
     else:
         grid = geo.build_grid(cfgd["n_lat"], cfgd["n_lon"], div)
     bg = geo.background_metric(grid, div, cfgd["eps"])
-    u = geo.load_field(os.path.join(run_dir, manifest["outputs"]["final_snapshot"]), grid.n)
+    u_path = os.path.join(run_dir, manifest["outputs"]["final_snapshot"])
+    try:
+        u = geo.load_field(u_path, grid.n)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read field {u_path!r}: {exc}") from exc
     state = geo.make_state(bg, u)
     trace = fl.FlowTrace.from_csv(os.path.join(run_dir, manifest["outputs"]["trace"]))
     trace.status = manifest["status"]
@@ -392,7 +390,6 @@ def build_parser() -> _Parser:
     r = sub.add_parser("run", help="integrate a flow config")
     r.add_argument("--config", required=True)
     r.add_argument("--out")
-    r.add_argument("--workers", type=int, default=1, help="unused for single runs")
     r.add_argument("--seed", type=int)
     r.add_argument("--resolution", help="NLATxNLON override")
     r.add_argument("--epsilon", type=float)

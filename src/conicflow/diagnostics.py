@@ -245,7 +245,7 @@ def football_control_state(
         div = Divisor([beta, beta], [[1.0, 0, 0], [-1.0, 0, 0]])
     config = fl.FlowConfig(
         divisor=div, n_lat=n_lat, n_lon=max(n_lon, geo.MIN_N_LON), eps=eps,
-        dt=0.02, t_max=40.0, stepper="semi_implicit", sample_every=1.0,
+        dt=0.02, t_max=40.0, sample_every=1.0,
         auto_stop=True, axisymmetric=(n_lon == 1),
     )
     trace = fl.run_axisymmetric(config) if n_lon == 1 else fl.run(config)

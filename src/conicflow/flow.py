@@ -1,27 +1,28 @@
 """Time integration of the normalized conical Ricci flow in the conformal
 factor gauge.
 
-The evolution is ``du/dt = chi/2 - R(u)``, algebraically identical to
-``e^-u Lap_bg u + chi/2 - e^-u R_bg``; both forms are available and agree to
-round-off (asserted in debug mode).  Steppers:
+The evolution is ``du/dt = chi/2 - R(u)``, with R the smooth-part curvature
+``e^-u (R_bg,cone - Lap_bg u)``: the modeled cone masses are excluded from
+the dynamics, exactly as the conical flow lives on the punctured sphere
+(otherwise every eps > 0 state would be a smooth sphere metric and the flow
+would erase the cones).  Each step is semi-implicit: backward Euler
+for the diffusion ``e^-u Lap_bg u`` with the factor ``e^-u`` frozen at the
+current state, and the reaction ``chi/2 - e^-u R_bg,cone`` explicit.  That is
+one SPD sparse solve per step, against a cached LU factor reused across
+steps.
 
-* ``rk2`` -- explicit midpoint with a Gershgorin CFL guard.  On 2-D grids
-  the zonal cells at the poles make the guard scale like (h_theta * h_eta)^2,
-  so this stepper is only practical for short horizons;
-* ``semi_implicit`` -- backward-Euler treatment of the linearized diffusion
-  (the e^-u Lap_bg part frozen at the current factor), one SPD sparse solve
-  per step.  This is the shipped default for production runs.
-
-After every ``renormalize_every`` steps the area is restored to 2 by an
-additive constant and the constant is recorded in the trace: at eps > 0 the
-smoothed cone mass makes the area drift at rate sum(beta) per unit time, and
-hiding that drift would mask the eps-convergence behavior.
+After every step the area is restored to 2 by an additive constant and the
+constant is recorded in the trace: at eps > 0 the smoothed cone mass makes
+the area drift at rate sum(beta) per unit time, and hiding that drift would
+mask the eps-convergence behavior.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import os
+import typing
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,9 +33,6 @@ from . import functionals as fn
 from . import geometry as geo
 from .marked_sphere import Divisor
 
-CFL_SAFETY = 0.9  # fraction of the RK2 real-axis stability interval used
-
-STEPPERS = ("semi_implicit", "rk2")
 INITIALS = ("zero", "bump", "soliton")
 
 
@@ -46,8 +44,6 @@ class FlowConfig:
     eps: float = 0.05
     dt: float = 0.01
     t_max: float = 50.0
-    stepper: str = "semi_implicit"
-    renormalize_every: int = 1
     sample_every: float = 0.5
     snapshot_every: float = 0.0
     initial: str = "zero"
@@ -62,19 +58,11 @@ class FlowConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
-        if self.stepper not in STEPPERS:
-            raise ValueError(f"unknown stepper {self.stepper!r}")
         if self.initial not in INITIALS:
             raise ValueError(f"unknown initial condition {self.initial!r}")
-        if self.renormalize_every < 1:
-            raise ValueError("renormalize_every must be >= 1")
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "n_lat", "n_lon", "eps", "dt", "t_max", "stepper", "renormalize_every",
-            "sample_every", "snapshot_every", "initial", "bump_amplitude", "seed",
-            "auto_stop", "stop_rel", "stop_consecutive", "ball_radius", "axisymmetric",
-        )}
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "divisor"}
         d["divisor"] = {
             "weights": [float(w) for w in self.divisor.weights],
             "positions": self.divisor.positions.tolist(),
@@ -82,34 +70,33 @@ class FlowConfig:
         return d
 
 
-#: config file schema: ``key = value`` per line, '#' comments.  Unknown keys
-#: are hard errors.  ``divisor`` is a path to a divisor JSON file, resolved
-#: relative to the config file.
+_FIELD_TYPES = typing.get_type_hints(FlowConfig)
+
+#: config file schema: ``key = value`` per line, '#' comments, one key per
+#: FlowConfig field and typed by it; the key ``epsilon`` sets the field
+#: ``eps``.  Maps each key to (field name, type).  Unknown keys are hard
+#: errors.  ``divisor`` is a path to a divisor JSON file, resolved relative
+#: to the config file.
 CONFIG_KEYS = {
-    "divisor": str,
-    "n_lat": int,
-    "n_lon": int,
-    "epsilon": float,
-    "dt": float,
-    "t_max": float,
-    "stepper": str,
-    "renormalize_every": int,
-    "sample_every": float,
-    "snapshot_every": float,
-    "initial": str,
-    "bump_amplitude": float,
-    "seed": int,
-    "auto_stop": bool,
-    "stop_rel": float,
-    "stop_consecutive": int,
-    "ball_radius": float,
-    "axisymmetric": bool,
+    ("epsilon" if f.name == "eps" else f.name): (f.name, _FIELD_TYPES[f.name])
+    for f in fields(FlowConfig)
 }
 
 
-def parse_config_text(text: str, base_dir: str = ".") -> FlowConfig:
-    import os
+def parse_config_value(key: str, text: str):
+    """(field name, typed value) of one ``key = value`` pair; the value of
+    ``divisor`` stays a path."""
+    if key not in CONFIG_KEYS:
+        raise ValueError(f"unknown key {key!r}")
+    name, typ = CONFIG_KEYS[key]
+    if typ is bool:
+        if text.lower() not in ("true", "false"):
+            raise ValueError(f"{key} must be true/false")
+        return name, text.lower() == "true"
+    return name, text if typ is Divisor else typ(text)
 
+
+def parse_config_text(text: str, base_dir: str = ".") -> FlowConfig:
     raw = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
@@ -119,17 +106,13 @@ def parse_config_text(text: str, base_dir: str = ".") -> FlowConfig:
             raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in raw:
+        try:
+            name, value = parse_config_value(key, val)
+        except ValueError as exc:
+            raise ValueError(f"config line {lineno}: {exc}") from exc
+        if name in raw:
             raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        typ = CONFIG_KEYS[key]
-        if typ is bool:
-            if val.lower() not in ("true", "false"):
-                raise ValueError(f"config line {lineno}: {key} must be true/false")
-            raw[key] = val.lower() == "true"
-        else:
-            raw[key] = typ(val)
+        raw[name] = value
     if "divisor" not in raw:
         raise ValueError("config is missing the 'divisor' key")
     path = raw.pop("divisor")
@@ -137,14 +120,10 @@ def parse_config_text(text: str, base_dir: str = ".") -> FlowConfig:
         path = os.path.join(base_dir, path)
     with open(path) as fh:
         divisor = Divisor.from_json(fh.read())
-    if "epsilon" in raw:
-        raw["eps"] = raw.pop("epsilon")
     return FlowConfig(divisor=divisor, **raw)
 
 
 def parse_config_file(path: str) -> FlowConfig:
-    import os
-
     with open(path) as fh:
         return parse_config_text(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -156,53 +135,6 @@ def parse_config_file(path: str) -> FlowConfig:
 
 class FlowError(RuntimeError):
     pass
-
-
-def flow_rhs(state: geo.MetricState) -> np.ndarray:
-    """du/dt = chi/2 - R_cone(u), with R_cone the smooth-part curvature.
-
-    Away from the smoothed cone cores this is chi/2 - R(t) pointwise; at the
-    cores the modeled Dirac masses are excluded from the dynamics, exactly as
-    the conical flow equation lives on the punctured sphere.  Without the
-    exclusion every eps > 0 state would be an ordinary smooth sphere metric
-    and the flow would erase the cones entirely.
-    """
-    return 0.5 * state.background.chi() - geo.conical_curvature(state)
-
-
-def flow_rhs_conformal(state: geo.MetricState) -> np.ndarray:
-    """The algebraically equal form e^-u Lap_bg u + chi/2 - e^-u R_bg,cone."""
-    bg = state.background
-    a = np.exp(-state.u)
-    r_bg = bg.R - (bg.cone_term if bg.cone_term is not None else 0.0)
-    return a * geo.laplacian_bg(state.u, bg) + 0.5 * bg.chi() - a * r_bg
-
-
-def cfl_limit(state: geo.MetricState) -> float:
-    """Largest stable explicit step: CFL_SAFETY / max_i (L_ii / mass_i),
-    from the Gershgorin bound 2 max(L_ii/mass_i) on the stiffness and the
-    RK2 real-axis stability interval of length 2."""
-    diag_l = state.grid.L.diagonal()
-    lam = 2.0 * float(np.max(diag_l / state.mass))
-    return CFL_SAFETY * 2.0 / lam
-
-
-def step(state: geo.MetricState, dt: float, debug: bool = False) -> geo.MetricState:
-    """One explicit RK2 (midpoint) step; rejects dt above the CFL limit."""
-    limit = cfl_limit(state)
-    if dt > limit:
-        raise FlowError(f"dt={dt:.3e} violates the CFL bound {limit:.3e}")
-    k1 = flow_rhs(state)
-    if debug:
-        alt = flow_rhs_conformal(state)
-        if np.max(np.abs(k1 - alt)) > 1e-10 * max(1.0, np.max(np.abs(k1))):
-            raise FlowError("gauge consistency violated between rhs forms")
-    mid = geo.MetricState(state.background, state.u + 0.5 * dt * k1, state.t + 0.5 * dt)
-    k2 = flow_rhs(mid)
-    u = state.u + dt * k2
-    if not np.all(np.isfinite(u)):
-        raise FlowError("non-finite conformal factor after explicit step")
-    return geo.MetricState(state.background, u, state.t + dt)
 
 
 class _ImplicitStepper:
@@ -300,23 +232,6 @@ class FlowTrace:
         return cls(times, cols)
 
 
-def _relative_entropy(state, r_cone, chow_s):
-    """Hamilton entropy of R - s relative to its equilibrium value.
-
-    Subtracting 2 (rbar - s) log(rbar - s), with rbar the metric mean of the
-    smooth-part curvature, removes the pure shift drift -ds/dt (log + 1) A,
-    which for targets chi/2 < 1/e would otherwise raise the raw shifted
-    entropy after the geometry has converged.  With no shift active this is
-    Hamilton's N minus a constant.
-    """
-    w = r_cone - chow_s
-    if np.any(w <= 0.0):
-        bad = int(np.argmin(w))
-        raise FlowError(f"R - s not positive at node {bad}")
-    mean = geo.integrate(w, state) / 2.0
-    return geo.integrate(w * np.log(w), state) - 2.0 * mean * math.log(mean)
-
-
 def _sample_record(state, rp, chow_s, drift, config):
     # one geodesic pass serves every distance monitor of this sample
     rows = geo.geodesic_rows(state, geo.diameter_sources(state))
@@ -330,7 +245,7 @@ def _sample_record(state, rp, chow_s, drift, config):
         "rcone_min": float(r_cone.min()),
         "rcone_max": float(r_cone.max()),
         "f_beta": fn.f_beta(state),
-        "hamilton_entropy": _relative_entropy(state, r_cone, chow_s),
+        "hamilton_entropy": fn.hamilton_entropy(state, chow_s),
         "chow_s": chow_s,
         "w_normalized": fn.normalized_w(state, -rp.v),
         "soliton_residual": fn.soliton_residual(state, rp.v, rows=rows),
@@ -418,12 +333,8 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
     try:
         record()
         for n in range(1, n_steps + 1):
-            if config.stepper == "rk2":
-                state = step(state, config.dt)
-            else:
-                state = _semi_implicit_step(state, config.dt, implicit)
-            if n % config.renormalize_every == 0:
-                state, drift_last = renormalize(state)
+            state = _semi_implicit_step(state, config.dt, implicit)
+            state, drift_last = renormalize(state)
             if snap_every and n % snap_every == 0:
                 snapshots.append((state.t, state.u.copy()))
             if n % steps_per_sample == 0 or n == n_steps:
@@ -441,8 +352,10 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
                         break
     except FlowError as exc:
         status = f"failed: {exc}"
+    except Exception as exc:  # a failing monitor or solve keeps the partial trace
+        status = f"failed: {type(exc).__name__}: {exc}"
 
-    columns = {k: np.array([r[k] for r in rows]) for k in rows[0]}
+    columns = {k: np.array([r[k] for r in rows]) for k in (rows[0] if rows else ())}
     trace = FlowTrace(np.array(times), columns, status=status, final_state=state)
     trace.meta = {
         "config": config.to_dict(),

@@ -74,24 +74,16 @@ def ricci_potential(state: MetricState) -> RicciPotential:
     return RicciPotential(v, resid, corr)
 
 
-@dataclass
-class PotentialPair:
-    """Potential phi of the state relative to the background metric."""
-
-    phi: np.ndarray
-    gauge: str
-    mean_correction: float
-
-
-def recover_potential(state: MetricState) -> PotentialPair:
-    """Solve Lap_bg phi = e^u - 1 (the density-potential relation), with the
-    constant fixed by int phi dg_bg = 0."""
+def recover_potential(state: MetricState) -> np.ndarray:
+    """Potential phi of the state relative to the background metric: solve
+    Lap_bg phi = e^u - 1 (the density-potential relation), with the constant
+    fixed by int phi dg_bg = 0."""
     bg = state.background
     area = state.area()
     rhs = np.exp(state.u) * (2.0 / area) - 1.0
-    phi, corr = _poisson(state.grid, bg.mass, rhs)
+    phi, _ = _poisson(state.grid, bg.mass, rhs)
     phi -= np.sum(phi * bg.mass) / 2.0
-    return PotentialPair(phi, "background", corr)
+    return phi
 
 
 def h_background(bg: BackgroundMetric) -> np.ndarray:
@@ -165,7 +157,7 @@ def f_beta_rate_oracle(state: MetricState, v: np.ndarray = None) -> float:
 
 def _phi_and_bg(state_or_phi, background):
     if isinstance(state_or_phi, MetricState):
-        return recover_potential(state_or_phi).phi, state_or_phi.background
+        return recover_potential(state_or_phi), state_or_phi.background
     if background is None:
         raise ValueError("a background is required when passing a raw potential")
     return np.asarray(state_or_phi, dtype=float), background
@@ -285,12 +277,21 @@ def chow_shift(s0: float, t: float, half_chi: float) -> float:
 
 
 def hamilton_entropy(state: MetricState, s: float = 0.0) -> float:
-    """N = int (R - s) log (R - s) dg; requires R - s > 0 everywhere."""
-    R = conical_curvature(state) - s
-    if np.any(R <= 0.0):
-        bad = int(np.argmin(R))
-        raise ValueError(f"R - s is not positive (node {bad}, value {R[bad]:.3e})")
-    return integrate(R * np.log(R), state)
+    """Hamilton's entropy of R - s relative to its equilibrium value,
+    N = int (R - s) log (R - s) dg - 2 m log m, with m the metric mean of
+    R - s (the smooth-part curvature); requires R - s > 0 everywhere.
+
+    Subtracting 2 m log m removes the pure shift drift -ds/dt (log + 1) A,
+    which for targets chi/2 < 1/e would otherwise raise the raw shifted
+    entropy after the geometry has converged.  With no shift active this is
+    Hamilton's N minus a constant.
+    """
+    w = conical_curvature(state) - s
+    if np.any(w <= 0.0):
+        bad = int(np.argmin(w))
+        raise ValueError(f"R - s is not positive (node {bad}, value {w[bad]:.3e})")
+    mean = integrate(w, state) / 2.0
+    return integrate(w * np.log(w), state) - 2.0 * mean * math.log(mean)
 
 
 # ----------------------------------------------------------------------

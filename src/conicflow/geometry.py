@@ -26,7 +26,6 @@ parts to zero against the stencil.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -446,10 +445,6 @@ def laplacian(f, state: MetricState) -> np.ndarray:
     return -(state.grid.L @ f) / state.mass
 
 
-def laplacian_bg(f, background: BackgroundMetric) -> np.ndarray:
-    return -(background.grid.L @ np.asarray(f, dtype=float)) / background.mass
-
-
 def scalar_curvature(state: MetricState) -> np.ndarray:
     """R = e^(-u) (R_bg - Lap_bg u): the full metric curvature.
 
@@ -683,45 +678,18 @@ def calibrate_units(n_lat: int = 32, n_lon: int = 64, seed: int = 0) -> UnitCons
 
 
 def save_field(path: str, values: np.ndarray) -> None:
-    """Write a node field; '.csv' gives (index, value) rows, anything else
-    raw little-endian float64."""
-    values = np.asarray(values, dtype=float)
-    if str(path).endswith(".csv"):
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            for i, v in enumerate(values):
-                wr.writerow([i, f"{v:.17g}"])
-    else:
-        values.astype("<f8").tofile(path)
+    """Write a node field as (index, value) CSV rows."""
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        for i, v in enumerate(np.asarray(values, dtype=float)):
+            wr.writerow([i, f"{v:.17g}"])
 
 
 def load_field(path: str, n: int = None) -> np.ndarray:
-    if str(path).endswith(".csv"):
-        vals = []
-        with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                vals.append(float(row[1]))
-        return np.asarray(vals)
-    arr = np.fromfile(path, dtype="<f8")
+    """Read a field written by :func:`save_field`; ``n`` is the node count
+    the file must hold.  A malformed row raises ValueError."""
+    with open(path, newline="") as fh:
+        arr = np.asarray([float(v) for _, v in csv.reader(fh)])
     if n is not None and arr.size != n:
         raise ValueError(f"field file has {arr.size} values, expected {n}")
     return arr
-
-
-def save_grid(grid: SphereGrid, header_path: str, table_path: str) -> None:
-    header = {
-        "n_lat": grid.n_lat,
-        "n_lon": grid.n_lon,
-        "units": UNITS.as_dict(),
-        "nudges": [[int(i), float(o)] for i, o in grid.nudges],
-        "node_table": str(table_path),
-    }
-    with open(header_path, "w") as fh:
-        json.dump(header, fh, indent=2)
-    with open(table_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["index", "theta", "eta", "weight"])
-        th = np.repeat(grid.theta, grid.n_lon)
-        et = np.tile(grid.eta, grid.n_lat)
-        for i in range(grid.n):
-            wr.writerow([i, f"{th[i]:.17g}", f"{et[i]:.17g}", f"{grid.w[i]:.17g}"])

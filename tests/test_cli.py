@@ -122,7 +122,8 @@ class TestRun:
         assert manifest["config_hash"]
         assert manifest["unit_constants"]["round_area"] == 2.0
 
-    def test_non_finite_monitor_fails_run(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fault", ["nan", "raise"])
+    def test_non_finite_monitor_fails_run(self, capsys, tmp_path, monkeypatch, fault):
         from conicflow import flow as fl
         from conicflow import functionals as fn
 
@@ -131,19 +132,28 @@ class TestRun:
 
         def f_beta(state, *args, **kwargs):
             calls.append(state.t)
-            return math.nan if len(calls) == 2 else real(state, *args, **kwargs)
+            if len(calls) < 2:
+                return real(state, *args, **kwargs)
+            if fault == "raise":
+                raise RuntimeError("monitor broke")
+            return math.nan
 
         monkeypatch.setattr(fn, "f_beta", f_beta)
         cfg = tiny_config(tmp_path, shipped_divisor("semistable"))
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir))
         assert code == 2
-        status = "failed: non-finite monitor f_beta at t = 0.1"
+        if fault == "raise":
+            status, n_rows = "failed: RuntimeError: monitor broke", 1
+        else:
+            status, n_rows = "failed: non-finite monitor f_beta at t = 0.1", 2
         assert json.loads((out_dir / "manifest.json").read_text())["status"] == status
         assert status in out
         trace = fl.FlowTrace.from_csv(str(out_dir / "trace.csv"))
-        assert len(trace.times) == len(calls) == 2
-        assert math.isfinite(trace["f_beta"][0]) and math.isnan(trace["f_beta"][1])
+        assert len(calls) == 2 and len(trace.times) == n_rows
+        assert math.isfinite(trace["f_beta"][0])
+        if fault == "nan":
+            assert math.isnan(trace["f_beta"][1])
 
     def test_trace_byte_identical_across_runs(self, capsys, tmp_path):
         cfg = tiny_config(tmp_path, shipped_divisor("unstable"), initial="bump", seed=5)
@@ -197,19 +207,31 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", str(tmp_path / "nope"))
         assert code == 1
 
+    def test_report_mismatched_field_is_usage_error(self, capsys, tmp_path):
+        cfg = tiny_config(tmp_path, shipped_divisor("stable"), t_max=0.2)
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir))
+        u_path = out_dir / "u_final.csv"
+        rows = u_path.read_text().splitlines(keepends=True)
+        u_path.write_text("".join(rows[:-5]))
+        code, _, err = run_cli(capsys, "report", str(out_dir))
+        assert code == 1
+        assert "2043 values, expected 2048" in err
+
 
 class TestSweep:
     def test_sweep_aggregates(self, capsys, tmp_path):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"), t_max=0.2)
         sweep = tmp_path / "sweep.cfg"
-        sweep.write_text("config = run.cfg\nsweep_epsilon = 0.1, 0.12\n")
+        sweep.write_text("config = run.cfg\nsweep_epsilon = 0.1, 0.12\nsweep_seed = 3\n")
         out = tmp_path / "sw"
         code, msg, _ = run_cli(capsys, "sweep", "--config", str(sweep), "--out", str(out))
         assert code == 0
         rows = (out / "aggregate.csv").read_text().strip().splitlines()
         assert len(rows) == 3  # header + 2 runs
-        assert "epsilon" in rows[0]
-        assert (out / "run_epsilon0.1" / "manifest.json").exists()
+        assert "epsilon" in rows[0] and "seed" in rows[0]
+        manifest = json.loads((out / "run_epsilon0.1_seed3" / "manifest.json").read_text())
+        assert manifest["config"]["eps"] == 0.1 and manifest["config"]["seed"] == 3
 
     def test_empty_sweep_rejected(self, capsys, tmp_path):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"))
@@ -221,9 +243,22 @@ class TestSweep:
 
     def test_unknown_sweep_key_rejected(self, capsys, tmp_path):
         sweep = tmp_path / "sweep.cfg"
-        sweep.write_text("config = run.cfg\nsweep_gamma = 1, 2\n")
-        code, _, err = run_cli(capsys, "sweep", "--config", str(sweep))
-        assert code == 1
+        for key in ("sweep_gamma", "sweep_divisor"):
+            sweep.write_text(f"config = run.cfg\n{key} = 1, 2\n")
+            code, _, err = run_cli(capsys, "sweep", "--config", str(sweep))
+            assert code == 1
+            assert f"unknown key {key!r}" in err
+
+
+    def test_bad_sweep_value_rejected(self, capsys, tmp_path):
+        tiny_config(tmp_path, shipped_divisor("stable"))
+        sweep = tmp_path / "sweep.cfg"
+        for line, msg in (("sweep_seed = 1, x", "invalid literal"),
+                          ("sweep_initial = zero, sine", "unknown initial condition")):
+            sweep.write_text(f"config = run.cfg\n{line}\n")
+            code, _, err = run_cli(capsys, "sweep", "--config", str(sweep))
+            assert code == 1
+            assert msg in err
 
 
 class TestShippedConfigs:

@@ -60,11 +60,11 @@ class TestPotentialRecovery:
         u = smooth_field(conic_state.grid, seed=3)
         st = geo.make_state(conic_state.background, u)
         st.u += math.log(2.0 / st.area())
-        pp = fn.recover_potential(st)
+        phi = fn.recover_potential(st)
         # Lap_bg phi = e^u - 1 on the normalized state
-        lap = -(st.grid.L @ pp.phi) / st.background.mass
+        lap = -(st.grid.L @ phi) / st.background.mass
         assert np.abs(lap - (np.exp(st.u) - 1.0)).max() < 1e-7
-        assert abs(float(np.sum(pp.phi * st.background.mass))) < 1e-8
+        assert abs(float(np.sum(phi * st.background.mass))) < 1e-8
 
 
 class TestFBeta:

@@ -373,21 +373,3 @@ class TestSerialization:
         p = tmp_path / "field.csv"
         geo.save_field(str(p), f)
         assert np.array_equal(geo.load_field(str(p)), f)
-
-    def test_field_round_trip_binary(self, tmp_path, round_state):
-        rng = np.random.default_rng(9)
-        f = rng.standard_normal(round_state.grid.n)
-        p = tmp_path / "field.bin"
-        geo.save_field(str(p), f)
-        assert np.array_equal(geo.load_field(str(p), round_state.grid.n), f)
-
-    def test_grid_header_and_table(self, tmp_path):
-        import json
-
-        grid = geo.build_grid(16, 32)
-        hp, tp = tmp_path / "grid.json", tmp_path / "nodes.csv"
-        geo.save_grid(grid, str(hp), str(tp))
-        header = json.loads(hp.read_text())
-        assert header["n_lat"] == 16 and header["n_lon"] == 32
-        rows = tp.read_text().strip().splitlines()
-        assert len(rows) == grid.n + 1
