@@ -152,7 +152,7 @@ def cmd_soliton_table(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _config_hash(path: str) -> str:
+def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
 
@@ -173,29 +173,41 @@ def _apply_overrides(config: fl.FlowConfig, args) -> fl.FlowConfig:
         kw["dt"] = args.dt
     if args.seed is not None:
         kw["seed"] = args.seed
-    return replace(config, **kw) if kw else config
+    try:
+        return replace(config, **kw)
+    except ValueError as exc:
+        raise UsageError(f"bad override: {exc}") from exc
 
 
 def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> dict:
-    """Run one flow experiment and write manifest, trace, snapshots, report."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Run one flow experiment and write manifest, trace, snapshots, report.
+
+    A config the run cannot set up (grid, background or initial field) is a
+    UsageError, and nothing is written for it.  The manifest holds the
+    SHA-256 of the trace and of every field file.
+    """
     t0 = time.time()
-    trace = fl.run_axisymmetric(config) if config.axisymmetric else fl.run(config)
+    try:
+        trace = fl.run(config)
+    except ValueError as exc:
+        raise UsageError(f"cannot set up the run: {exc}") from exc
     state = trace.final_state
     report = diag.detect_convergence(trace, state, config.divisor)
 
+    os.makedirs(out_dir, exist_ok=True)
     outputs = {}
     trace_path = os.path.join(out_dir, "trace.csv")
     trace.to_csv(trace_path)
     outputs["trace"] = "trace.csv"
-    with open(trace_path, "rb") as fh:
-        trace_sha = hashlib.sha256(fh.read()).hexdigest()
-    geo.save_field(os.path.join(out_dir, "u_final.csv"), state.u)
-    outputs["final_snapshot"] = "u_final.csv"
-    for t_snap, u_snap in trace.meta.get("snapshots", []):
-        name = f"u_t{t_snap:012.6f}.csv"
-        geo.save_field(os.path.join(out_dir, name), u_snap)
-        outputs[f"snapshot_{t_snap:.6f}"] = name
+    fields = [("final_snapshot", "u_final.csv", state.u)] + [
+        (f"snapshot_{t:.6f}", f"u_t{t:012.6f}.csv", u) for t, u in trace.meta.get("snapshots", [])
+    ]
+    field_sha = {}
+    for key, name, u in fields:
+        path = os.path.join(out_dir, name)
+        geo.save_field(path, u)
+        outputs[key] = name
+        field_sha[name] = _sha256(path)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         fh.write(report.to_json())
     outputs["report"] = "report.json"
@@ -203,7 +215,8 @@ def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> d
     manifest = {
         "code_version": __version__,
         "config_hash": config_hash,
-        "trace_sha256": trace_sha,
+        "trace_sha256": _sha256(trace_path),
+        "field_sha256": field_sha,
         "config": config.to_dict(),
         "unit_constants": geo.UNITS.as_dict(),
         "status": trace.status,
@@ -224,7 +237,7 @@ def cmd_run(args) -> int:
         raise UsageError(f"bad config {args.config!r}: {exc}") from exc
     config = _apply_overrides(config, args)
     out_dir = args.out or "run_out"
-    result = execute_run(config, out_dir, _config_hash(args.config))
+    result = execute_run(config, out_dir, _sha256(args.config))
     trace, report = result["trace"], result["report"]
     print(report.summary())
     print(f"status: {trace.status}; outputs in {out_dir}")
@@ -331,30 +344,38 @@ def cmd_sweep(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def cmd_report(args) -> int:
-    run_dir = args.run_dir
-    man_path = os.path.join(run_dir, "manifest.json")
-    try:
-        with open(man_path) as fh:
-            manifest = json.load(fh)
-    except OSError as exc:
-        raise UsageError(f"cannot read manifest in {run_dir!r}: {exc}") from exc
-    cfgd = manifest["config"]
+def _read_run(run_dir: str):
+    """(final state, trace) of a finished run directory; ``trace.csv`` and
+    ``u_final.csv`` must match the SHA-256 sums in its manifest."""
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    cfgd, outputs = manifest["config"], manifest["outputs"]
     div = Divisor(cfgd["divisor"]["weights"], cfgd["divisor"]["positions"])
-    if cfgd.get("axisymmetric"):
+    if cfgd["n_lon"] == 1:
         grid = geo.build_axis_grid(cfgd["n_lat"], div)
     else:
         grid = geo.build_grid(cfgd["n_lat"], cfgd["n_lon"], div)
     bg = geo.background_metric(grid, div, cfgd["eps"])
-    u_path = os.path.join(run_dir, manifest["outputs"]["final_snapshot"])
-    try:
-        u = geo.load_field(u_path, grid.n)
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read field {u_path!r}: {exc}") from exc
-    state = geo.make_state(bg, u)
-    trace = fl.FlowTrace.from_csv(os.path.join(run_dir, manifest["outputs"]["trace"]))
+    u_name = outputs["final_snapshot"]
+    u = geo.load_field(os.path.join(run_dir, u_name), grid.n)
+    trace_path = os.path.join(run_dir, outputs["trace"])
+    for path, digest in ((trace_path, manifest["trace_sha256"]),
+                         (os.path.join(run_dir, u_name), manifest["field_sha256"][u_name])):
+        if _sha256(path) != digest:
+            raise ValueError(f"{path!r} does not match the SHA-256 in the manifest")
+    trace = fl.FlowTrace.from_csv(trace_path)
     trace.status = manifest["status"]
-    report = diag.detect_convergence(trace, state, div)
+    return geo.make_state(bg, u), trace
+
+
+def cmd_report(args) -> int:
+    try:
+        state, trace = _read_run(args.run_dir)
+    except KeyError as exc:
+        raise UsageError(f"manifest in {args.run_dir!r} lacks the key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise UsageError(f"cannot read run {args.run_dir!r}: {exc}") from exc
+    report = diag.detect_convergence(trace, state, state.background.divisor)
     print(report.summary())
     rp = fn.ricci_potential(state)
     print(f"f_beta: {fn.f_beta(state):.8g}")

@@ -21,6 +21,9 @@ from . import geometry as geo
 from . import soliton as sol
 from .marked_sphere import Divisor, StabilityClass, classify_stability, enumerate_partitions
 
+#: uniform cumulative-area bins of :func:`curvature_area_curve`
+PROFILE_BINS = 64
+
 
 @dataclass
 class Thresholds:
@@ -140,16 +143,18 @@ def volume_ratio(state: geo.MetricState, p, r: float, rows=None) -> float:
 # ----------------------------------------------------------------------
 
 
-def curvature_area_curve(state: geo.MetricState, center, bins: int = 64, rows=None):
-    """Mass-weighted mean smooth-part curvature in uniform cumulative-area
-    bins, measured outward from ``center``; returns (bin centers, means).
-    Matches the convention of :class:`conicflow.soliton.RadialProfile`,
-    whose R is also the curvature of the punctured surface."""
+def curvature_area_curve(state: geo.MetricState, center, rows=None):
+    """Mass-weighted mean smooth-part curvature in PROFILE_BINS uniform
+    cumulative-area bins, measured outward from ``center``; returns
+    (bin centers, means).  Matches the convention of
+    :class:`conicflow.soliton.RadialProfile`, whose R is also the curvature
+    of the punctured surface."""
     d = geo.distances_from(state, center, rows)
     order = np.argsort(d)
     mass = state.mass[order]
     R = geo.conical_curvature(state)[order]
     a = np.cumsum(mass) - 0.5 * mass
+    bins = PROFILE_BINS
     edges = np.linspace(0.0, 2.0, bins + 1)
     idx = np.clip(np.searchsorted(edges, a, side="right") - 1, 0, bins - 1)
     wsum = np.bincount(idx, weights=mass, minlength=bins)
@@ -160,13 +165,7 @@ def curvature_area_curve(state: geo.MetricState, center, bins: int = 64, rows=No
 
 
 def compare_to_profile(
-    state: geo.MetricState,
-    profile: sol.RadialProfile,
-    margin: float = 0.15,
-    bins: int = 64,
-    enforce_bipolar: bool = True,
-    cluster_tol: float = 0.3,
-    rows=None,
+    state: geo.MetricState, profile: sol.RadialProfile, margin: float = 0.15, rows=None
 ) -> float:
     """RMS mismatch between the state's curvature-vs-area curve and the
     profile's, measured from the deepest cone point.
@@ -179,12 +178,8 @@ def compare_to_profile(
     k = len(state.grid.marked_points)
     if k == 0:
         raise ValueError("profile comparison needs marked points")
-    if enforce_bipolar and k > 2:
-        clusters, _ = marked_point_clusters(state, cluster_tol, rows)
-        if len(clusters) > 2:
-            raise ValueError("cluster structure not bipolar; cannot define the axis")
     center = state.grid.marked_points[k - 1]  # weights sorted: deepest cone last
-    a, r_state = curvature_area_curve(state, center, bins, rows)
+    a, r_state = curvature_area_curve(state, center, rows)
     keep = (a >= margin) & (a <= 2.0 - margin) & np.isfinite(r_state)
     r_prof = profile.curvature_of_area(a[keep])
     diff = r_state[keep] - r_prof
@@ -244,12 +239,10 @@ def football_control_state(
     else:
         div = Divisor([beta, beta], [[1.0, 0, 0], [-1.0, 0, 0]])
     config = fl.FlowConfig(
-        divisor=div, n_lat=n_lat, n_lon=max(n_lon, geo.MIN_N_LON), eps=eps,
-        dt=0.02, t_max=40.0, sample_every=1.0,
-        auto_stop=True, axisymmetric=(n_lon == 1),
+        divisor=div, n_lat=n_lat, n_lon=n_lon, eps=eps,
+        dt=0.02, t_max=40.0, sample_every=1.0, auto_stop=True,
     )
-    trace = fl.run_axisymmetric(config) if n_lon == 1 else fl.run(config)
-    return trace.final_state
+    return fl.run(config).final_state
 
 
 # ----------------------------------------------------------------------
@@ -371,10 +364,7 @@ def detect_convergence(
                 if not ld.valid:
                     continue
                 prof = sol.soliton_profile(ld.beta_p, ld.beta_q)
-                r = compare_to_profile(
-                    final_state, prof, margin=th.profile_margin, enforce_bipolar=False,
-                    rows=rows,
-                )
+                r = compare_to_profile(final_state, prof, margin=th.profile_margin, rows=rows)
                 if best is None or r < best[0]:
                     best = (r, ld, prof)
             if best is not None:

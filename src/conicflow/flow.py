@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 import typing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,6 +34,18 @@ from . import geometry as geo
 from .marked_sphere import Divisor
 
 INITIALS = ("zero", "bump", "soliton")
+
+#: peak of the Gaussian ``initial = bump`` start
+BUMP_AMPLITUDE = 0.3
+
+#: auto-stop: a sample is quiet when no monitor moved by more than STOP_REL
+#: (relative, absolute below 1) since the previous sample; STOP_CONSECUTIVE
+#: quiet samples in a row stop the run
+STOP_REL = 2e-4
+STOP_CONSECUTIVE = 10
+
+#: geodesic radius of the ``ball_ratio_p<i>`` monitors
+BALL_RADIUS = 0.2
 
 
 @dataclass
@@ -47,19 +59,19 @@ class FlowConfig:
     sample_every: float = 0.5
     snapshot_every: float = 0.0
     initial: str = "zero"
-    bump_amplitude: float = 0.0
     seed: int = 0
     auto_stop: bool = True
-    stop_rel: float = 2e-4
-    stop_consecutive: int = 10
-    ball_radius: float = 0.2
-    axisymmetric: bool = False
 
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
         if self.initial not in INITIALS:
             raise ValueError(f"unknown initial condition {self.initial!r}")
+
+    @property
+    def axisymmetric(self) -> bool:
+        """``n_lon == 1`` selects the 1-D reduction in colatitude."""
+        return self.n_lon == 1
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "divisor"}
@@ -168,7 +180,13 @@ class _ImplicitStepper:
         self._factor(d)
         x = self.lu.solve(rhs)
         r = rhs - (d * x + L @ x)
-        return x + self.lu.solve(r)
+        x = x + self.lu.solve(r)
+        # a fresh factor leaves round-off (4e-11 at worst on the shipped
+        # 32768x1 soliton run); more means the solve failed
+        rel = float(np.linalg.norm(rhs - (d * x + L @ x))) / norm
+        if rel > 1e-9:
+            raise FlowError(f"implicit solve stalled at relative residual {rel:.2e}")
+        return x
 
 
 def _semi_implicit_step(
@@ -178,7 +196,7 @@ def _semi_implicit_step(
     if stepper is None:
         stepper = _ImplicitStepper(bg)
     a = np.exp(-state.u)
-    r_bg = bg.R - (bg.cone_term if bg.cone_term is not None else 0.0)
+    r_bg = bg.R - bg.cone_term
     d = bg.mass / (dt * a)
     rhs = d * (state.u + dt * (0.5 * bg.chi() - a * r_bg))
     u = stepper.solve(d, rhs)
@@ -232,7 +250,7 @@ class FlowTrace:
         return cls(times, cols)
 
 
-def _sample_record(state, rp, chow_s, drift, config):
+def _sample_record(state, rp, chow_s, drift):
     # one geodesic pass serves every distance monitor of this sample
     rows = geo.geodesic_rows(state, geo.diameter_sources(state))
     R = geo.scalar_curvature(state)
@@ -259,7 +277,7 @@ def _sample_record(state, rp, chow_s, drift, config):
                 rec[f"d_p{i + 1}_p{j + 1}"] = dmat[i, j]
         for i in range(k):
             rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(
-                state, state.grid.marked_points[i], config.ball_radius, rows
+                state, state.grid.marked_points[i], BALL_RADIUS, rows
             )
     rec["diameter"] = geo.diameter_estimate(state, rows=rows)
     return rec
@@ -291,8 +309,7 @@ def _initial_field(config: FlowConfig, grid: geo.SphereGrid, bg=None) -> np.ndar
     cosang = np.clip(grid.positions() @ center, -1.0, 1.0)
     ang2 = np.arccos(cosang) ** 2
     width = 0.5
-    amp = config.bump_amplitude if config.bump_amplitude else 0.3
-    return amp * np.exp(-ang2 / (2.0 * width * width))
+    return BUMP_AMPLITUDE * np.exp(-ang2 / (2.0 * width * width))
 
 
 def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
@@ -324,7 +341,7 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
         """Append one sample; a non-finite monitor ends the run after it."""
         rp = fn.ricci_potential(state)
         s = fn.chow_shift(s0, state.t, half_chi)
-        rows.append(_sample_record(state, rp, s, drift_last, config))
+        rows.append(_sample_record(state, rp, s, drift_last))
         times.append(state.t)
         bad = next((k for k, v in rows[-1].items() if not math.isfinite(v)), None)
         if bad is not None:
@@ -343,11 +360,11 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
                     prev, cur = rows[-2], rows[-1]
                     keys = [k for k in cur if k not in ("chow_s", "renorm_drift", "area")]
                     quiet = all(
-                        abs(cur[k] - prev[k]) <= config.stop_rel * max(1.0, abs(cur[k]))
+                        abs(cur[k] - prev[k]) <= STOP_REL * max(1.0, abs(cur[k]))
                         for k in keys
                     )
                     calm = calm + 1 if quiet else 0
-                    if calm >= config.stop_consecutive:
+                    if calm >= STOP_CONSECUTIVE:
                         status = "auto_stopped"
                         break
     except FlowError as exc:
@@ -367,17 +384,15 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
 
 
 def run(config: FlowConfig) -> FlowTrace:
-    """Integrate the 2-D flow; deterministic given the config (and seed)."""
-    grid = geo.build_grid(config.n_lat, config.n_lon, config.divisor)
-    return _run_loop(config, grid)
+    """Integrate the flow; deterministic given the config (and seed).
 
-
-def run_axisymmetric(config: FlowConfig) -> FlowTrace:
-    """1-D fast path in colatitude for <= 2 marked points at the poles.
-
-    Uses the exact zonal aggregate of the 2-D stencil, so axisymmetric data
-    produces the same monitors as the 2-D solver up to round-off.
+    ``n_lon == 1`` runs the 1-D reduction in colatitude, for at most two
+    marked points at the poles: its stencil is the exact zonal aggregate of
+    the 2-D one, so axisymmetric data gives the same monitors as the 2-D
+    grid up to round-off.
     """
-    grid = geo.build_axis_grid(config.n_lat, config.divisor)
-    cfg = replace(config, axisymmetric=True, n_lon=1)
-    return _run_loop(cfg, grid)
+    if config.axisymmetric:
+        grid = geo.build_axis_grid(config.n_lat, config.divisor)
+    else:
+        grid = geo.build_grid(config.n_lat, config.n_lon, config.divisor)
+    return _run_loop(config, grid)

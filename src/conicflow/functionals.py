@@ -90,8 +90,7 @@ def h_background(bg: BackgroundMetric) -> np.ndarray:
     """Ricci potential h of the background: Lap_bg h = R_bg - chi/2
     (mean-corrected), normalized by int e^h dg_bg = 2.  Cached on bg."""
     if bg.h is None:
-        r_cone = bg.R - (bg.cone_term if bg.cone_term is not None else 0.0)
-        rhs = r_cone - 0.5 * bg.chi()
+        rhs = bg.R - bg.cone_term - 0.5 * bg.chi()
         h, corr = _poisson(bg.grid, bg.mass, rhs)
         h += math.log(2.0 / float(np.sum(np.exp(h) * bg.mass)))
         bg.h = h
@@ -308,9 +307,7 @@ def _theta_derivative(f2d: np.ndarray, h: float):
     return df, d2f
 
 
-def soliton_residual(
-    state: MetricState, v: np.ndarray = None, exclude_radius: float = None, rows=None
-) -> float:
+def soliton_residual(state: MetricState, v: np.ndarray = None, rows=None) -> float:
     """integral |grad^2 v - (Lap v) g / 2|^2 dg by finite differences.
 
     Computed in conformal (Mercator) coordinates where the trace-free
@@ -318,17 +315,15 @@ def soliton_residual(
     d^2_z v - (d_z log H)(d_z v); zero exactly when v generates a gradient
     soliton / conformal Killing structure.  The Hessian here is the
     Riemannian one of the area-2-normalized metric.  The two pole rows and
-    geodesic balls of radius ``exclude_radius`` (default max(0.15, 2 eps))
-    around the marked points are excluded: inside the smoothed cores the
-    potential carries the eps-regularization bowl, not geometry.  ``rows``
-    are precomputed :func:`conicflow.geometry.geodesic_rows` covering the
-    marked points.
+    geodesic balls of radius max(0.15, 2 eps) around the marked points are
+    excluded: inside the smoothed cores the potential carries the
+    eps-regularization bowl, not geometry.  ``rows`` are precomputed
+    :func:`conicflow.geometry.geodesic_rows` covering the marked points.
     """
     grid = state.grid
     if v is None:
         v = ricci_potential(state).v
-    if exclude_radius is None:
-        exclude_radius = max(0.15, 2.0 * state.background.eps)
+    exclude_radius = max(0.15, 2.0 * state.background.eps)
     core_mask = np.ones(grid.n, dtype=bool)
     for d in geo.marked_rows(state, rows):
         core_mask &= d > exclude_radius

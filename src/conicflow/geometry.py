@@ -125,10 +125,6 @@ class SphereGrid:
         return self.n_lat * self.n_lon
 
     @property
-    def axisymmetric(self) -> bool:
-        return self.n_lon == 1
-
-    @property
     def h_theta(self) -> float:
         return math.pi / self.n_lat
 
@@ -331,7 +327,7 @@ class BackgroundMetric:
     rho: np.ndarray  # conformal density relative to the round background
     log_rho: np.ndarray
     R: np.ndarray  # background scalar curvature field (full, smoothed)
-    cone_term: np.ndarray = None  # smoothed delta masses, divided by rho
+    cone_term: np.ndarray  # smoothed delta masses, divided by rho
     resolved_cone_mass: float = 0.0  # quadrature of the bump; ~ sum(beta)
     h: np.ndarray = None  # Ricci potential of the background (cached)
     h_correction: float = 0.0
@@ -342,9 +338,6 @@ class BackgroundMetric:
 
     def chi(self) -> float:
         return 2.0 - (self.divisor.weights_float().sum() if self.divisor else 0.0)
-
-    def total_weight(self) -> float:
-        return float(self.divisor.weights_float().sum()) if self.divisor else 0.0
 
 
 def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> BackgroundMetric:
@@ -464,10 +457,7 @@ def conical_curvature(state: MetricState) -> np.ndarray:
     subtracted, so the total is chi(S^2, beta) rather than 2 (up to the
     unresolved quadrature sliver of the bump).
     """
-    R = scalar_curvature(state)
-    if state.background.cone_term is None:
-        return R
-    return R - np.exp(-state.u) * state.background.cone_term
+    return scalar_curvature(state) - np.exp(-state.u) * state.background.cone_term
 
 
 def dirichlet_energy(f, h, grid: SphereGrid) -> float:
@@ -601,18 +591,18 @@ def ball_volume(state: MetricState, center, r: float, rows=None) -> float:
     return float(np.sum(state.mass[d <= r]))
 
 
-def diameter_sources(state: MetricState, extra_sources=()) -> list:
+def diameter_sources(state: MetricState) -> list:
     """Source nodes of :func:`diameter_estimate`: the six coordinate-axis
-    nodes, the marked points and any extra points, without repeats."""
+    nodes and the marked points, without repeats."""
     axes = ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1])
-    points = [*axes, *state.grid.marked_points, *extra_sources]
+    points = [*axes, *state.grid.marked_points]
     return list(dict.fromkeys(_node(state, p) for p in points))
 
 
-def diameter_estimate(state: MetricState, extra_sources=(), rows=None) -> float:
+def diameter_estimate(state: MetricState, rows=None) -> float:
     """Max graph distance over a small source set (marked points plus the
     coordinate axes); a diagnostic, not a certified diameter."""
-    sources = diameter_sources(state, extra_sources)
+    sources = diameter_sources(state)
     if rows is None:
         rows = geodesic_rows(state, sources)
     best = 0.0

@@ -65,6 +65,8 @@ class Divisor:
             pos = _equator_positions(k)
         else:
             pos = np.asarray(positions, dtype=float).reshape(k, 3)
+            if not np.all(np.isfinite(pos)):
+                raise ValueError("non-finite position coordinate")
             norms = np.linalg.norm(pos, axis=1)
             if np.any(norms == 0):
                 raise ValueError("zero position vector")
@@ -117,15 +119,18 @@ class Divisor:
     @classmethod
     def from_json(cls, text: str) -> "Divisor":
         data = json.loads(text)
-        if not isinstance(data, dict) or "weights" not in data:
-            raise ValueError("divisor JSON must be an object with a 'weights' key")
+        if not isinstance(data, dict) or not isinstance(data.get("weights"), list):
+            raise ValueError("divisor JSON must be an object with a 'weights' list")
         weights = []
         for w in data["weights"]:
-            if isinstance(w, str):
-                num, _, den = w.partition("/")
-                weights.append(Fraction(int(num), int(den)) if den else Fraction(w))
-            else:
-                weights.append(float(w))
+            try:
+                if isinstance(w, str):
+                    num, _, den = w.partition("/")
+                    weights.append(Fraction(int(num), int(den)) if den else Fraction(w))
+                else:
+                    weights.append(float(w))
+            except (TypeError, ZeroDivisionError) as exc:
+                raise ValueError(f"bad weight {w!r}: {exc}") from exc
         return cls(weights, data.get("positions"))
 
 

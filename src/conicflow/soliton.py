@@ -148,7 +148,7 @@ class MuTable:
         return self.entries[0].w
 
 
-def mu_table(d: Divisor, warn_not_unstable: bool = True) -> MuTable:
+def mu_table(d: Divisor) -> MuTable:
     """Order the soliton entropies over all valid partitions of ``d``.
 
     Returns the entries sorted descending, the Theorem-1.4 threshold
@@ -159,7 +159,7 @@ def mu_table(d: Divisor, warn_not_unstable: bool = True) -> MuTable:
     import warnings
 
     cls = classify_stability(d)
-    if warn_not_unstable and cls is not StabilityClass.UNSTABLE:
+    if cls is not StabilityClass.UNSTABLE:
         warnings.warn(f"mu_table: divisor is {cls}, not unstable", UserWarning, stacklevel=2)
     specs = []
     excluded = []

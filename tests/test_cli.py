@@ -108,6 +108,23 @@ class TestSolitonTable:
         assert json.loads(out_path.read_text())["threshold_defined"]
 
 
+class TestBadDivisorFile:
+    @pytest.mark.parametrize("text, msg", [
+        ('{"weights": ["1/0", "1/2"]}', "bad weight"),
+        ('{"weights": [null, 0.5]}', "bad weight"),
+        ('{"weights": [0.3, 0.4], "positions": [[null, 0, 1], [1, 0, 0]]}', "non-finite"),
+    ], ids=["zero_denominator", "null_weight", "null_position"])
+    @pytest.mark.parametrize("command", ["classify", "soliton-table", "run"])
+    def test_usage_error(self, capsys, tmp_path, command, text, msg):
+        cfg = tiny_config(tmp_path, shipped_divisor("stable"))
+        div = tmp_path / "div.json"
+        div.write_text(text)
+        argv = ["run", "--config", cfg] if command == "run" else [command, str(div)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and msg in err
+
+
 class TestRun:
     def test_run_produces_artifacts(self, capsys, tmp_path):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"))
@@ -188,6 +205,55 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "--config", cfg, "--resolution", "64")
         assert code == 1
 
+    @pytest.mark.parametrize("flags, msg", [
+        (("--resolution", "8x16"), "resolution too small"),
+        (("--dt", "-1"), "dt and t_max must be positive"),
+        (("--epsilon", "0.001", "--resolution", "64x128"), "cone core unresolved"),
+        (("--resolution", "64x1"), "must sit at the poles"),
+    ], ids=["coarse_grid", "negative_dt", "unresolved_eps", "offpole_axisymmetric"])
+    def test_bad_run_input_is_usage_error(self, capsys, tmp_path, flags, msg):
+        cfg = tiny_config(tmp_path, Divisor([0.3, 0.4]))  # two marks on the equator
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir), *flags)
+        assert code == 1
+        assert err.startswith("error:") and msg in err
+        assert not out_dir.exists()
+
+    def test_solver_stall_fails_run(self, capsys, tmp_path, monkeypatch):
+        # from the third step on, every factor the stepper builds is off by
+        # a factor 2.5: refinement diverges, the refactorized fallback
+        # leaves a relative residual of 2.25, and the run must fail on it
+        import types
+
+        import scipy.sparse.linalg as spla
+        from conicflow import flow as fl
+
+        steps = []
+        real_solve = fl._ImplicitStepper.solve
+
+        def solve(self, d, rhs):
+            steps.append(1)
+            return real_solve(self, d, rhs)
+
+        class Skewed:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def solve(self, b):
+                return (2.5 if len(steps) >= 3 else 1.0) * self.lu.solve(b)
+
+        monkeypatch.setattr(fl._ImplicitStepper, "solve", solve)
+        monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=lambda a: Skewed(spla.splu(a))))
+        cfg = tiny_config(tmp_path, shipped_divisor("semistable"), sample_every=0.02)
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir))
+        assert code == 2
+        status = json.loads((out_dir / "manifest.json").read_text())["status"]
+        assert status.startswith("failed: implicit solve stalled at relative residual")
+        assert status in out
+        trace = fl.FlowTrace.from_csv(str(out_dir / "trace.csv"))
+        assert len(steps) == 3 and len(trace.times) == 3  # t = 0 and steps 1, 2
+
     def test_usage_error_on_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
@@ -217,6 +283,46 @@ class TestReport:
         code, _, err = run_cli(capsys, "report", str(out_dir))
         assert code == 1
         assert "2043 values, expected 2048" in err
+
+
+    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "missing_config"])
+    def test_report_bad_manifest_is_usage_error(self, capsys, tmp_path, damage):
+        cfg = tiny_config(tmp_path, shipped_divisor("stable"), t_max=0.2)
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir))
+        man = out_dir / "manifest.json"
+        if damage == "truncated":
+            man.write_text(man.read_text()[:100])
+        elif damage == "not_an_object":
+            man.write_text("[1, 2]")
+        else:
+            data = json.loads(man.read_text())
+            del data["config"]
+            man.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "report", str(out_dir))
+        assert code == 1
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("name", ["u_final.csv", "trace.csv"])
+    def test_report_checks_output_hashes(self, capsys, tmp_path, name):
+        import hashlib
+
+        cfg = tiny_config(tmp_path, shipped_divisor("stable"), t_max=0.2, snapshot_every=0.1)
+        out_dir = tmp_path / "out"
+        run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir))
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        fields = sorted(p.name for p in out_dir.glob("u_*.csv"))
+        assert len(fields) == 3  # u_final.csv and two snapshots
+        assert sorted(manifest["field_sha256"]) == fields
+        for f in fields:
+            digest = hashlib.sha256((out_dir / f).read_bytes()).hexdigest()
+            assert manifest["field_sha256"][f] == digest
+        # cut inside the last value: the row count and the format still hold
+        path = out_dir / name
+        path.write_bytes(path.read_bytes()[:-12])
+        code, _, err = run_cli(capsys, "report", str(out_dir))
+        assert code == 1
+        assert f"{name}' does not match the SHA-256" in err
 
 
 class TestSweep:
@@ -270,6 +376,7 @@ class TestShippedConfigs:
         for name in ("stable", "semistable", "unstable", "soliton_axis"):
             cfg = fl.parse_config_file(os.path.join(base, f"{name}.cfg"))
             assert cfg.divisor.k >= 2
+            assert cfg.axisymmetric == (name == "soliton_axis")
 
 
 class TestProfilesExport:

@@ -144,13 +144,6 @@ class TestCompareToProfile:
         r2 = diag.compare_to_profile(st2, prof, margin=0.2)
         assert r1 == pytest.approx(r2, rel=1e-10)
 
-    def test_nonbipolar_clusters_rejected(self):
-        d = Divisor([0.2, 0.25, 0.3])
-        grid = geo.build_grid(64, 128, d)
-        st = geo.make_state(geo.background_metric(grid, d, 0.05))
-        with pytest.raises(ValueError, match="bipolar"):
-            diag.compare_to_profile(st, sol.football(0.3), cluster_tol=0.1)
-
 
 class TestDetectConvergence:
     def test_report_serializes(self, shipped_runs):
@@ -208,9 +201,8 @@ class TestDetectConvergence:
 
         d = Divisor([0.3, 0.3], [[0, 0, 1.0], [0, 0, -1.0]])
         cfg = fl.FlowConfig(divisor=d, n_lat=128, n_lon=1, eps=0.05, dt=0.01,
-                            t_max=40.0, sample_every=0.5, auto_stop=True,
-                            axisymmetric=True)
-        tr = fl.run_axisymmetric(cfg)
+                            t_max=40.0, sample_every=0.5, auto_stop=True)
+        tr = fl.run(cfg)
         rep = diag.detect_convergence(tr, tr.final_state, d)
         assert rep.verdict == "Football"
         assert rep.partition == [1]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -147,11 +148,11 @@ class TestRun:
         assert np.abs(tr["area"] - 2.0).max() < 1e-12
 
     def test_f_beta_monotone_short_run(self):
-        tr = fl.run(small_config(initial="bump", bump_amplitude=0.4, seed=2))
+        tr = fl.run(small_config(initial="bump", seed=2))
         assert np.max(np.diff(tr["f_beta"])) < 1e-8
 
     def test_f_beta_rate_matches_oracle(self):
-        cfg = small_config(initial="bump", bump_amplitude=0.4, seed=2, sample_every=0.04)
+        cfg = small_config(initial="bump", seed=2, sample_every=0.04)
         tr = fl.run(cfg)
         fb = tr["f_beta"]
         times = tr.times
@@ -176,7 +177,7 @@ class TestRun:
         assert fd == pytest.approx(oracle, rel=0.05, abs=1e-6)
 
     def test_determinism_bit_identical(self, tmp_path):
-        cfg = small_config(initial="bump", bump_amplitude=0.3, seed=11, t_max=0.6)
+        cfg = small_config(initial="bump", seed=11, t_max=0.6)
         t1, t2 = fl.run(cfg), fl.run(cfg)
         for name in t1.columns:
             assert np.array_equal(t1[name], t2[name])
@@ -186,8 +187,8 @@ class TestRun:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_seed_changes_bump_run(self):
-        a = fl.run(small_config(initial="bump", bump_amplitude=0.3, seed=1, t_max=0.4))
-        b = fl.run(small_config(initial="bump", bump_amplitude=0.3, seed=2, t_max=0.4))
+        a = fl.run(small_config(initial="bump", seed=1, t_max=0.4))
+        b = fl.run(small_config(initial="bump", seed=2, t_max=0.4))
         assert not np.array_equal(a["f_beta"], b["f_beta"])
 
     def test_failure_returns_partial_trace(self, monkeypatch):
@@ -251,17 +252,17 @@ class TestSharedGeodesicPass:
         return geo.make_state(bg, fl._initial_field(cfg, grid, bg))
 
     def test_one_pass_per_sample_record(self, counts):
-        cfg = small_config(initial="bump", bump_amplitude=0.3, seed=4)
+        cfg = small_config(initial="bump", seed=4)
         state = self.bumped_state(cfg)
         chow_s = min(0.0, float(geo.conical_curvature(state).min())) - 0.05
-        rec = fl._sample_record(state, fn.ricci_potential(state), chow_s, 0.0, cfg)
+        rec = fl._sample_record(state, fn.ricci_potential(state), chow_s, 0.0)
         assert counts == {"edge_graph": 1, "dijkstra": 1}
         assert {"d_p1_p2", "ball_ratio_p3", "diameter", "soliton_residual"} <= set(rec)
 
     def test_one_pass_per_detect_convergence(self, counts):
         from conicflow import diagnostics as diag
 
-        cfg = small_config(initial="bump", bump_amplitude=0.3, seed=4)
+        cfg = small_config(initial="bump", seed=4)
         state = self.bumped_state(cfg)
         diag.detect_convergence(None, state, cfg.divisor)
         assert counts == {"edge_graph": 1, "dijkstra": 1}
@@ -269,16 +270,17 @@ class TestSharedGeodesicPass:
 
 class TestAxisymmetric:
     def test_rejects_offaxis_divisor(self):
-        cfg = small_config(divisor=shipped_divisor("stable"))
-        with pytest.raises(ValueError):
-            fl.run_axisymmetric(cfg)
+        cfg = small_config(divisor=shipped_divisor("stable"), n_lon=1)
+        with pytest.raises(ValueError, match="axisymmetric"):
+            fl.run(cfg)
 
     def test_round_matches_2d_monitors(self):
         empty = Divisor([])
         cfg1 = fl.FlowConfig(divisor=empty, n_lat=32, n_lon=64, eps=0.1, dt=0.02,
                              t_max=0.5, sample_every=0.1, auto_stop=False)
         tr2d = fl.run(cfg1)
-        tr1d = fl.run_axisymmetric(cfg1)
+        tr1d = fl.run(replace(cfg1, n_lon=1))
+        assert tr1d.final_state.grid.n == 32
         for name in ("area", "f_beta", "w_normalized", "r_min", "r_max"):
             assert np.allclose(tr1d[name], tr2d[name], atol=1e-8), name
 
@@ -300,9 +302,8 @@ class TestAxisymmetric:
     def test_football_terminal_constant_curvature(self):
         d = Divisor([0.3, 0.3], [[0, 0, 1.0], [0, 0, -1.0]])
         cfg = fl.FlowConfig(divisor=d, n_lat=128, n_lon=1, eps=0.05, dt=0.01,
-                            t_max=40.0, sample_every=0.5, auto_stop=True,
-                            axisymmetric=True)
-        tr = fl.run_axisymmetric(cfg)
+                            t_max=40.0, sample_every=0.5, auto_stop=True)
+        tr = fl.run(cfg)
         st = tr.final_state
         rc = geo.conical_curvature(st)
         far = np.ones(st.grid.n, bool)
@@ -323,8 +324,8 @@ class TestAxisymmetric:
         d = Divisor([0.3, 0.8], [[0, 0, -1.0], [0, 0, 1.0]])
         cfg = fl.FlowConfig(divisor=d, n_lat=1024, n_lon=1, eps=0.005, dt=0.01,
                             t_max=0.1, sample_every=0.05, auto_stop=False,
-                            axisymmetric=True, initial="soliton")
-        tr = fl.run_axisymmetric(cfg)
+                            initial="soliton")
+        tr = fl.run(cfg)
         assert tr.status == "completed"
 
 
