@@ -224,6 +224,7 @@ def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> d
         "wall_time_s": time.time() - t0,
         "outputs": outputs,
         "nudges": [[int(i), float(o)] for i, o in trace.meta.get("nudges", [])],
+        "solver": trace.meta["solver"],
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)

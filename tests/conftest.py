@@ -1,10 +1,12 @@
 import math
 import os
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg as spla
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -42,6 +44,30 @@ def shipped_config_path(name):
 def shipped_config(name, **overrides):
     cfg = fl.parse_config_file(shipped_config_path(name))
     return replace(cfg, **overrides) if overrides else cfg
+
+
+def skew_factors_from_third_solve(monkeypatch):
+    """From the third ``_ImplicitStepper.solve`` on, every LU factor the
+    stepper has built returns 2.5 times its solution, so refinement
+    diverges and a refactorized solve leaves a relative residual of 2.25.
+    Returns the list that grows by one entry per solve."""
+    solves = []
+    real_solve = fl._ImplicitStepper.solve
+
+    def solve(self, d, rhs):
+        solves.append(1)
+        return real_solve(self, d, rhs)
+
+    class Skewed:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return (2.5 if len(solves) >= 3 else 1.0) * self.lu.solve(b)
+
+    monkeypatch.setattr(fl._ImplicitStepper, "solve", solve)
+    monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=lambda a: Skewed(spla.splu(a))))
+    return solves
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import pytest
 
 from conicflow import cli
 from conicflow.marked_sphere import Divisor
-from conftest import shipped_divisor
+from conftest import shipped_divisor, skew_factors_from_third_solve
 
 
 @pytest.fixture()
@@ -223,27 +223,9 @@ class TestRun:
         # from the third step on, every factor the stepper builds is off by
         # a factor 2.5: refinement diverges, the refactorized fallback
         # leaves a relative residual of 2.25, and the run must fail on it
-        import types
-
-        import scipy.sparse.linalg as spla
         from conicflow import flow as fl
 
-        steps = []
-        real_solve = fl._ImplicitStepper.solve
-
-        def solve(self, d, rhs):
-            steps.append(1)
-            return real_solve(self, d, rhs)
-
-        class Skewed:
-            def __init__(self, lu):
-                self.lu = lu
-
-            def solve(self, b):
-                return (2.5 if len(steps) >= 3 else 1.0) * self.lu.solve(b)
-
-        monkeypatch.setattr(fl._ImplicitStepper, "solve", solve)
-        monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=lambda a: Skewed(spla.splu(a))))
+        steps = skew_factors_from_third_solve(monkeypatch)
         cfg = tiny_config(tmp_path, shipped_divisor("semistable"), sample_every=0.02)
         out_dir = tmp_path / "out"
         code, out, _ = run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir))

@@ -1,14 +1,24 @@
+import json
 import math
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from conicflow import cli
 from conicflow import flow as fl
 from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow.marked_sphere import Divisor
-from conftest import shipped_divisor
+from conftest import (
+    shipped_config,
+    shipped_config_path,
+    shipped_divisor,
+    skew_factors_from_third_solve,
+)
 
 
 def small_config(**overrides):
@@ -225,6 +235,134 @@ class TestRun:
         snaps = tr.meta["snapshots"]
         assert len(snaps) == 2
         assert snaps[0][0] == pytest.approx(0.5)
+
+
+def _reference_solve(ref, d, rhs):
+    """The stepper's solve without the residual-floor rule and with the
+    matrix rebuilt per factorization: the oracle the stepper must match bit
+    for bit.  ``ref`` holds the grid's ``L`` and the cached ``lu``/``d_ref``."""
+
+    def factor():
+        ref.lu = spla.splu((sp.diags(d) + ref.L).tocsc())
+        ref.d_ref = d
+
+    if ref.lu is None or np.max(np.abs(np.log(d / ref.d_ref))) > 0.3:
+        factor()
+    x = ref.lu.solve(rhs)
+    norm = float(np.linalg.norm(rhs)) or 1.0
+    for _ in range(12):
+        r = rhs - (d * x + ref.L @ x)
+        if float(np.linalg.norm(r)) <= 1e-12 * norm:
+            return x
+        x = x + ref.lu.solve(r)
+    factor()
+    x = ref.lu.solve(rhs)
+    r = rhs - (d * x + ref.L @ x)
+    x = x + ref.lu.solve(r)
+    rel = float(np.linalg.norm(rhs - (d * x + ref.L @ x))) / norm
+    if rel > 1e-9:
+        raise fl.FlowError(f"implicit solve stalled at relative residual {rel:.2e}")
+    return x
+
+
+def axis_config(n_lat, eps):
+    return shipped_config("soliton_axis", n_lat=n_lat, eps=eps)
+
+
+class TestImplicitStepper:
+    @staticmethod
+    def solve_against_oracle(cfg, n_steps):
+        """Step cfg's flow n_steps times, checking every solve against the
+        oracle; returns (factorizations, back-solves, floor rule fired) per
+        solve."""
+        if cfg.axisymmetric:
+            grid = geo.build_axis_grid(cfg.n_lat, cfg.divisor)
+        else:
+            grid = geo.build_grid(cfg.n_lat, cfg.n_lon, cfg.divisor)
+        bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
+        state, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, grid, bg)))
+        stepper = fl._ImplicitStepper(bg)
+        ref = types.SimpleNamespace(L=grid.L, lu=None, d_ref=None)
+        real_solve = stepper.solve
+        solves = []
+
+        def solve(d, rhs):
+            f0, b0 = stepper.factorizations, stepper.backsolves
+            x = real_solve(d, rhs)
+            assert np.array_equal(x, _reference_solve(ref, d, rhs))
+            solves.append((stepper.factorizations - f0, stepper.backsolves - b0,
+                           stepper.floor_above_target))
+            return x
+
+        stepper.solve = solve
+        for _ in range(n_steps):
+            state, _ = fl.renormalize(fl._semi_implicit_step(state, cfg.dt, stepper))
+        assert len(solves) == n_steps
+        assert stepper.factorizations == sum(s[0] for s in solves)
+        assert stepper.backsolves == sum(s[1] for s in solves)
+        return solves
+
+    def test_floor_rule_fires_on_first_stall(self):
+        # refinement stalls against the fresh factor of step 1: 1 + 12
+        # back-solves, then the fallback's refactorization and 2 more
+        solves = self.solve_against_oracle(axis_config(8192, 3e-4), 10)
+        assert solves[0] == (2, 15, True)
+        assert solves[1:] == [(1, 2, True)] * 9
+
+    @pytest.mark.parametrize("cfg", [
+        axis_config(4096, 6e-4),
+        small_config(initial="bump", seed=2),
+    ], ids=["axis_4096", "bump_32x64"])
+    def test_floor_rule_idle_while_refinement_converges(self, cfg):
+        solves = self.solve_against_oracle(cfg, 10)
+        assert not any(fired for _, _, fired in solves)
+
+    def test_old_factor_released_and_heap_trimmed_before_refactoring(self, monkeypatch):
+        # building a factor while the old one is alive, or on an untrimmed
+        # heap, lets the peak RSS of a refactor-every-step run wander
+        cfg = axis_config(4096, 6e-4)
+        grid = geo.build_axis_grid(cfg.n_lat, cfg.divisor)
+        stepper = fl._ImplicitStepper(geo.background_metric(grid, cfg.divisor, cfg.eps))
+        events = []
+
+        def splu(A):
+            events.append(("splu", stepper.lu))
+            return spla.splu(A)
+
+        monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=splu))
+        monkeypatch.setattr(fl, "_malloc_trim", lambda pad: events.append(("trim", stepper.lu)))
+        d = np.ones(grid.L.shape[0])
+        stepper._factor(d)
+        stepper._factor(2 * d)
+        assert events == [("trim", None), ("splu", None)] * 2
+        assert stepper.lu is not None
+
+    def test_skewed_factor_fails_after_rule_fired(self, capsys, tmp_path, monkeypatch):
+        # the rule fired on the first solve, so the third, the first with a
+        # skewed factor, goes straight to the refactorized solve, which must
+        # still fail the run on its residual
+        solves = skew_factors_from_third_solve(monkeypatch)
+        out_dir = tmp_path / "out"
+        code = cli.main(["run", "--config", shipped_config_path("soliton_axis"),
+                         "--out", str(out_dir), "--resolution", "8192x1",
+                         "--epsilon", "3e-4", "--tmax", "0.05"])
+        assert code == 2
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["status"].startswith("failed: implicit solve stalled at relative residual")
+        assert manifest["status"] in capsys.readouterr().out
+        assert manifest["solver"]["floor_above_target"] is True
+        # solves 1 and 2 as in test_floor_rule_fires_on_first_stall, then
+        # one factorization and two back-solves before the check fails
+        assert len(solves) == 3
+        assert manifest["solver"]["factorizations"] == 4
+        assert manifest["solver"]["backsolves"] == 19
+        assert manifest["solver"]["worst_residual"] > 1e-9
+
+    def test_counters_reach_trace_meta(self):
+        solver = fl.run(small_config(t_max=0.2)).meta["solver"]
+        assert 0 < solver["factorizations"] <= solver["backsolves"]
+        assert solver["floor_above_target"] is False
+        assert 0.0 < solver["worst_residual"] <= 1e-12
 
 
 class TestSharedGeodesicPass:

@@ -43,3 +43,21 @@ def test_every_workload_sets_up(bench):
     workloads = bench("workloads")
     for workload in workloads.WORKLOADS.values():
         workloads.set_up(workload.config(0))
+
+
+def test_traced_run_counts_solver_work(bench, tmp_path):
+    # the counters come from wrappers swapped in around flow.spla and the
+    # stepper: a direct `from scipy.sparse.linalg import splu` in flow.py
+    # would bypass them and zero the benchmark's solver metrics silently
+    layers, spans = bench("layers"), bench("spans")
+    from conicflow import cli, flow
+    from conicflow.marked_sphere import Divisor
+
+    cfg = flow.FlowConfig(divisor=Divisor([]), n_lat=64, n_lon=1, eps=0.1, dt=0.02,
+                          t_max=0.1, sample_every=0.1, auto_stop=False)
+    tracer = spans.Tracer()
+    with layers.instrumented(tracer):
+        solver = cli.execute_run(cfg, str(tmp_path / "run"))["manifest"]["solver"]
+    metrics = layers.layer_metrics(tracer, 0)
+    assert metrics["flow.factorizations"] == solver["factorizations"] > 0
+    assert metrics["flow.backsolves"] == solver["backsolves"] > 0
