@@ -291,6 +291,7 @@ def _sweep_one(payload):
     try:
         result = execute_run(config, out_dir, tag)
         trace, report = result["trace"], result["report"]
+        solver = result["manifest"]["solver"]
         row = {
             "run": tag, "status": trace.status, "verdict": report.verdict,
             **{k: v for k, v in overrides.items()},
@@ -299,6 +300,8 @@ def _sweep_one(payload):
             "w_normalized": float(trace["w_normalized"][-1]),
             "soliton_residual": float(trace["soliton_residual"][-1]),
             "f_beta": float(trace["f_beta"][-1]),
+            "factorizations": solver["factorizations"],
+            "backsolves": solver["backsolves"],
         }
     except Exception as exc:  # per-run failures are isolated
         row = {"run": tag, "status": f"error: {exc}", "verdict": "", **overrides}

@@ -66,7 +66,8 @@ def skew_factors_from_third_solve(monkeypatch):
             return (2.5 if len(solves) >= 3 else 1.0) * self.lu.solve(b)
 
     monkeypatch.setattr(fl._ImplicitStepper, "solve", solve)
-    monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=lambda a: Skewed(spla.splu(a))))
+    monkeypatch.setattr(fl, "spla", types.SimpleNamespace(
+        splu=lambda a, **kw: Skewed(spla.splu(a, **kw))))
     return solves
 
 

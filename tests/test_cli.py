@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -320,6 +321,12 @@ class TestSweep:
         assert "epsilon" in rows[0] and "seed" in rows[0]
         manifest = json.loads((out / "run_epsilon0.1_seed3" / "manifest.json").read_text())
         assert manifest["config"]["eps"] == 0.1 and manifest["config"]["seed"] == 3
+        # each row carries its run's solver counters, as in its manifest
+        for row in csv.DictReader(rows):
+            solver = json.loads((out / row["run"] / "manifest.json").read_text())["solver"]
+            assert 0 < solver["factorizations"] <= solver["backsolves"]
+            assert int(row["factorizations"]) == solver["factorizations"]
+            assert int(row["backsolves"]) == solver["backsolves"]
 
     def test_empty_sweep_rejected(self, capsys, tmp_path):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"))
