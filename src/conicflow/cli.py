@@ -186,7 +186,7 @@ def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> d
     UsageError, and nothing is written for it.  The manifest holds the
     SHA-256 of the trace and of every field file.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         trace = fl.run(config)
     except ValueError as exc:
@@ -221,7 +221,7 @@ def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> d
         "unit_constants": geo.UNITS.as_dict(),
         "status": trace.status,
         "verdict": report.verdict,
-        "wall_time_s": time.time() - t0,
+        "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,
         "nudges": [[int(i), float(o)] for i, o in trace.meta.get("nudges", [])],
         "solver": trace.meta["solver"],
@@ -301,6 +301,7 @@ def _sweep_one(payload):
             "soliton_residual": float(trace["soliton_residual"][-1]),
             "f_beta": float(trace["f_beta"][-1]),
             "factorizations": solver["factorizations"],
+            "stall_refactorizations": solver["stall_refactorizations"],
             "backsolves": solver["backsolves"],
         }
     except Exception as exc:  # per-run failures are isolated

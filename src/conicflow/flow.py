@@ -11,10 +11,14 @@ current state, and the reaction ``chi/2 - e^-u R_bg,cone`` explicit.  That is
 one SPD sparse solve per step, against a cached LU factor reused across
 steps as the preconditioner of iterative refinement.  The factor takes the
 grid's column ordering (``SphereGrid.ordering``): minimum degree on the
-symmetric structure of 2-D grids, COLAMD on the 1-D grid.  Where refinement
-stalls even against a fresh factor (the residual floor cond(A) u lies above
-the target, as on the 32768-row axis grid), each later step refactors and
-refines once instead.
+symmetric structure of 2-D grids, COLAMD on the 1-D grid.  Every step shares
+the matrix's pattern, so on the 1-D grid the stepper computes the COLAMD
+order once per run and factors the pre-permuted matrix in natural order,
+which gives the same factor bit for bit; a 2-D grid orders at every
+factorization, because there pre-permuting changes the factor's round-off.
+Where refinement stalls even against a fresh factor (the residual floor
+cond(A) u lies above the target, as on the 32768-row axis grid), each later
+step refactors and refines once instead.
 
 After every step the area is restored to 2 by an additive constant and the
 constant is recorded in the trace: at eps > 0 the smoothed cone mass makes
@@ -31,6 +35,7 @@ import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import diagnostics as diag
@@ -168,22 +173,49 @@ class _ImplicitStepper:
     SuperLU orders the columns by the grid's ``ordering``; on a 2-D grid
     minimum degree about halves the cost of each back-solve against COLAMD.
 
+    On a 1-D grid the stepper refactors on every step of a long run, and
+    each SuperLU call would rerun COLAMD on a pattern that never changes.
+    So it computes that order once, keeps the symmetrically permuted matrix
+    ``A[perm][:, perm]`` and factors it in natural order: the factor, its
+    pivots and every solve are bit for bit those of a per-factor COLAMD
+    factor, at ~25% less time per factorization on the 32768-row grid.  A
+    2-D grid orders at every factorization: there the pre-permuted factor
+    is not bit for bit the same (solves differ by up to 3e-15 relative on
+    the 64x128 unstable flow), and it factors only a few times per run.
+
     Refinement cannot push the residual below about cond(A) u.  When it
     stalls against a factor built in the same call, that floor lies above
     the 1e-12 target, and the stepper keeps that knowledge for the rest of
     the run: every later solve refactors at once and refines once, which
     is what the stall fallback would do after wasting its sweeps.
 
-    The stepper counts its factorizations and back-solves, and keeps the
-    worst relative residual of the solves made on a fresh factor and the
-    ordering it factored with.
+    The stepper counts its factorizations, those made after refinement
+    stalled, and its back-solves, and keeps the worst relative residual of
+    the solves made on a fresh factor and the ordering it factored with.
     """
 
     def __init__(self, background: geo.BackgroundMetric):
         self.bg = background
+        grid = background.grid
+        A = grid.L.tocsc()
+        # on a 1-D grid: x[perm] solves the permuted system for b[perm]
+        self.perm = None
+        self._permc_spec = grid.ordering
+        if grid.n_lon == 1:
+            # COLAMD and SuperLU's postorder read only the pattern; L + I has
+            # that of every diag(d) + L and is nonsingular.  scipy's perm_c
+            # maps an original column to its place, so invert it.
+            probe = A + sp.identity(grid.n, format="csc")
+            self.perm = np.argsort(spla.splu(probe, permc_spec=grid.ordering).perm_c)
+            # the probe factor's heap, left untrimmed, let the axis run's
+            # peak RSS vary by 10-15 MB from process to process
+            if _malloc_trim is not None:
+                _malloc_trim(0)
+            A = A[self.perm][:, self.perm].tocsc()
+            self._permc_spec = "NATURAL"
         # diag(d) + L in CSC with sorted indices; a factorization overwrites
         # its diagonal entries in place instead of rebuilding the matrix
-        self.A = background.grid.L.tocsc()
+        self.A = A
         self.A.sort_indices()
         col = np.repeat(np.arange(self.A.shape[1]), np.diff(self.A.indptr))
         self._diag = np.flatnonzero(self.A.indices == col)
@@ -192,11 +224,12 @@ class _ImplicitStepper:
         self.d_ref = None
         self.floor_above_target = False
         self.factorizations = 0
+        self.stall_refactorizations = 0
         self.backsolves = 0
         self.worst_residual = 0.0
 
     def _factor(self, d):
-        self.A.data[self._diag] = self._L_diag + d
+        self.A.data[self._diag] = self._L_diag + (d if self.perm is None else d[self.perm])
         # a SuperLU factor of the 32768-row grid reserves ~70 MB of C heap
         # and touches ~15 MB of it; dropping the old factor and trimming the
         # heap before the next one makes that cost the same on every step,
@@ -205,17 +238,22 @@ class _ImplicitStepper:
         self.lu = None
         if _malloc_trim is not None:
             _malloc_trim(0)
-        self.lu = spla.splu(self.A, permc_spec=self.bg.grid.ordering)
+        self.lu = spla.splu(self.A, permc_spec=self._permc_spec)
         self.d_ref = d
         self.factorizations += 1
 
     def _backsolve(self, b):
         self.backsolves += 1
-        return self.lu.solve(b)
+        if self.perm is None:
+            return self.lu.solve(b)
+        x = np.empty_like(b)
+        x[self.perm] = self.lu.solve(b[self.perm])
+        return x
 
     def counters(self) -> dict:
         return {
             "factorizations": self.factorizations,
+            "stall_refactorizations": self.stall_refactorizations,
             "backsolves": self.backsolves,
             "worst_residual": self.worst_residual,
             "floor_above_target": self.floor_above_target,
@@ -240,6 +278,7 @@ class _ImplicitStepper:
                 x = x + self._backsolve(r)
             if fresh:
                 self.floor_above_target = True
+            self.stall_refactorizations += 1
         self._factor(d)
         x = self._backsolve(rhs)
         r = rhs - (d * x + L @ x)

@@ -141,6 +141,12 @@ class SphereGrid:
         stepper moves ``renorm_drift[1]`` by 5.6e-8 relative, and in the
         grounded factor ``soliton_residual`` by 2.0e-8 and ``f_beta`` by
         1.5e-8.
+
+        The 1-D stepper, which refactors on every step of a long run,
+        computes this order once per run and factors the pre-permuted matrix
+        in natural order, bit for bit the same factor.  2-D factors are
+        ordered at every factorization: pre-permuting there changes the
+        factor's round-off, and the 2-D stepper factors only a few times.
         """
         return "COLAMD" if self.n_lon == 1 else "MMD_AT_PLUS_A"
 
@@ -205,6 +211,7 @@ def build_grid(n_lat: int, n_lon: int, divisor: Divisor = None) -> SphereGrid:
     if divisor is not None and divisor.k:
         pts = divisor.positions.copy()
         h_eta = TWO_PI / n_lon
+        nodes = grid.positions()
         for idx in range(divisor.k):
             theta, eta = angles_from_vec(pts[idx])
             if min(theta, math.pi - theta) < 1e-12:
@@ -213,7 +220,7 @@ def build_grid(n_lat: int, n_lon: int, divisor: Divisor = None) -> SphereGrid:
                 grid.nudges.append((idx, grid.h_theta / 2))
                 continue
             node = grid.nearest_node(pts[idx])
-            ang = math.acos(float(np.clip(np.dot(pts[idx], grid.positions()[node]), -1, 1)))
+            ang = math.acos(float(np.clip(np.dot(pts[idx], nodes[node]), -1, 1)))
             if ang < 1e-9:
                 pts[idx] = vec_from_angles(theta, eta + 0.5 * h_eta)
                 grid.nudges.append((idx, 0.5 * h_eta))
@@ -263,53 +270,52 @@ def _assemble_grid(n_lat: int, n_lon: int) -> SphereGrid:
     m_cell = _mercator(np.clip(faces, 1e-300, None))  # faces[0]=0 handled below
 
     n = n_lat * n_lon
-    rows, cols, vals = [], [], []
-
-    def add_edges(a, b, k):
-        rows.extend([a, b, a, b])
-        cols.extend([b, a, a, b])
-        vals.extend([-k, -k, k, k])
-
     idx = np.arange(n).reshape(n_lat, n_lon)
+    east = np.roll(idx, -1, axis=1)  # idx[i, (j + 1) % n_lon]
     # meridian edges: conformal resistance between node latitudes
-    for i in range(n_lat - 1):
-        k = (1.0 / FOUR_PI) * h_eta / (m[i + 1] - m[i])
-        for j in range(n_lon):
-            add_edges(idx[i, j], idx[i + 1, j], k)
+    ea, eb = [idx[:-1].ravel()], [idx[1:].ravel()]
+    ek = [np.repeat((1.0 / FOUR_PI) * h_eta / (m[1:] - m[:-1]), n_lon)]
     # zonal edges: cell height in Mercator over cell width
     if n_lon > 1:
-        for i in range(n_lat):
-            dm = m_cell[i + 1] - m_cell[i] if 0 < i < n_lat - 1 else None
-            if i == 0:
-                dm = m_cell[1] - m[0]  # pole cap: resistance taken from the node
-            elif i == n_lat - 1:
-                dm = m[-1] - m_cell[n_lat - 1]
-            k = (1.0 / FOUR_PI) * dm / h_eta
-            for j in range(n_lon):
-                add_edges(idx[i, j], idx[i, (j + 1) % n_lon], k)
+        dm = m_cell[1:] - m_cell[:-1]
+        dm[0] = m_cell[1] - m[0]  # pole cap: resistance taken from the node
+        dm[-1] = m[-1] - m_cell[n_lat - 1]
+        ea.append(idx.ravel()), eb.append(east.ravel())
+        ek.append(np.repeat((1.0 / FOUR_PI) * dm / h_eta, n_lon))
+    a, b, k = (np.concatenate(e) for e in (ea, eb, ek))
+    # each edge adds [a, b, a, b] x [b, a, a, b] x [-k, -k, k, k], in edge
+    # order, so the duplicates on the diagonal sum in a fixed order
+    rows = np.stack([a, b, a, b], axis=1).ravel()
+    cols = np.stack([b, a, a, b], axis=1).ravel()
+    vals = np.stack([-k, -k, k, k], axis=1).ravel()
 
     L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     grid = SphereGrid(n_lat, n_lon, theta, eta, w, L)
 
     # Dijkstra edge set: 4-neighbors plus diagonals, plus virtual pole hubs
     r = math.sqrt(ROUND_R2)
-    ea, eb, el = [], [], []
     if n_lon > 1:
-        for i in range(n_lat):
-            for j in range(n_lon):
-                a = idx[i, j]
-                if i + 1 < n_lat:
-                    ea.append(a), eb.append(idx[i + 1, j]), el.append(r * h_theta)
-                    mid = math.sin(0.5 * (theta[i] + theta[i + 1]))
-                    diag = r * math.hypot(h_theta, mid * h_eta)
-                    ea.append(a), eb.append(idx[i + 1, (j + 1) % n_lon]), el.append(diag)
-                    ea.append(a), eb.append(idx[i + 1, (j - 1) % n_lon]), el.append(diag)
-                ea.append(a), eb.append(idx[i, (j + 1) % n_lon]), el.append(r * math.sin(theta[i]) * h_eta)
+        # each node of rows 0..n_lat-2 links south, south-east, south-west
+        # and east, in that order; each node of the last row links east.
+        # The per-row lengths take math.sin and math.hypot, whose rounding
+        # numpy's vectorized versions need not share.
+        diag = np.array([r * math.hypot(h_theta, math.sin(0.5 * (theta[i] + theta[i + 1])) * h_eta)
+                         for i in range(n_lat - 1)])
+        zonal = np.array([r * math.sin(t) * h_eta for t in theta])
+        west = np.roll(idx, 1, axis=1)  # idx[i, (j - 1) % n_lon]
+        south = np.stack([idx[1:], east[1:], west[1:], east[:-1]], axis=2)
+        south_len = np.empty(south.shape)
+        south_len[..., 0] = r * h_theta
+        south_len[..., 1] = south_len[..., 2] = diag[:, None]
+        south_len[..., 3] = zonal[:-1, None]
+        ea = np.concatenate([np.repeat(idx[:-1].ravel(), 4), idx[-1]])
+        eb = np.concatenate([south.ravel(), east[-1]])
+        el = np.concatenate([south_len.ravel(), np.full(n_lon, zonal[-1])])
         pole_nodes = np.concatenate([idx[0], idx[-1]])
         pole_len = np.full(2 * n_lon, r * h_theta / 2.0)
     else:
-        for i in range(n_lat - 1):
-            ea.append(i), eb.append(i + 1), el.append(r * h_theta)
+        ea, eb = np.arange(n_lat - 1), np.arange(1, n_lat)
+        el = np.full(n_lat - 1, r * h_theta)
         pole_nodes = np.array([0, n_lat - 1])
         pole_len = np.full(2, r * h_theta / 2.0)
     grid.edge_a = np.asarray(ea, dtype=np.int32)

@@ -327,6 +327,7 @@ class TestSweep:
             assert 0 < solver["factorizations"] <= solver["backsolves"]
             assert int(row["factorizations"]) == solver["factorizations"]
             assert int(row["backsolves"]) == solver["backsolves"]
+            assert int(row["stall_refactorizations"]) == solver["stall_refactorizations"]
 
     def test_empty_sweep_rejected(self, capsys, tmp_path):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conicflow import diagnostics as diag
 from conicflow import functionals as fn
@@ -10,7 +11,80 @@ from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
 
 
+def _assemble_grid_loop(n_lat, n_lon):
+    """The per-edge loops that ``geo._assemble_grid`` replaced: the
+    reference its stiffness matrix and Dijkstra edge list must match bit for
+    bit.  Returns (L, edge_a, edge_b, edge_len_bg, pole_edge_node,
+    pole_edge_len)."""
+    h_theta = math.pi / n_lat
+    theta = (np.arange(n_lat) + 0.5) * h_theta
+    faces = np.arange(n_lat + 1) * h_theta
+    h_eta = geo.TWO_PI / n_lon
+    m = geo._mercator(theta)
+    m_cell = geo._mercator(np.clip(faces, 1e-300, None))
+
+    n = n_lat * n_lon
+    rows, cols, vals = [], [], []
+
+    def add_edges(a, b, k):
+        rows.extend([a, b, a, b])
+        cols.extend([b, a, a, b])
+        vals.extend([-k, -k, k, k])
+
+    idx = np.arange(n).reshape(n_lat, n_lon)
+    for i in range(n_lat - 1):
+        k = (1.0 / geo.FOUR_PI) * h_eta / (m[i + 1] - m[i])
+        for j in range(n_lon):
+            add_edges(idx[i, j], idx[i + 1, j], k)
+    if n_lon > 1:
+        for i in range(n_lat):
+            dm = m_cell[i + 1] - m_cell[i] if 0 < i < n_lat - 1 else None
+            if i == 0:
+                dm = m_cell[1] - m[0]
+            elif i == n_lat - 1:
+                dm = m[-1] - m_cell[n_lat - 1]
+            k = (1.0 / geo.FOUR_PI) * dm / h_eta
+            for j in range(n_lon):
+                add_edges(idx[i, j], idx[i, (j + 1) % n_lon], k)
+    L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+    r = math.sqrt(geo.ROUND_R2)
+    ea, eb, el = [], [], []
+    if n_lon > 1:
+        for i in range(n_lat):
+            for j in range(n_lon):
+                a = idx[i, j]
+                if i + 1 < n_lat:
+                    ea.append(a), eb.append(idx[i + 1, j]), el.append(r * h_theta)
+                    mid = math.sin(0.5 * (theta[i] + theta[i + 1]))
+                    diag = r * math.hypot(h_theta, mid * h_eta)
+                    ea.append(a), eb.append(idx[i + 1, (j + 1) % n_lon]), el.append(diag)
+                    ea.append(a), eb.append(idx[i + 1, (j - 1) % n_lon]), el.append(diag)
+                ea.append(a), eb.append(idx[i, (j + 1) % n_lon]), el.append(
+                    r * math.sin(theta[i]) * h_eta)
+        pole_nodes = np.concatenate([idx[0], idx[-1]])
+        pole_len = np.full(2 * n_lon, r * h_theta / 2.0)
+    else:
+        for i in range(n_lat - 1):
+            ea.append(i), eb.append(i + 1), el.append(r * h_theta)
+        pole_nodes = np.array([0, n_lat - 1])
+        pole_len = np.full(2, r * h_theta / 2.0)
+    return (L, np.asarray(ea, dtype=np.int32), np.asarray(eb, dtype=np.int32),
+            np.asarray(el), pole_nodes.astype(np.int32), pole_len)
+
+
 class TestGrid:
+    @pytest.mark.parametrize("n_lat, n_lon", [(32, 64), (64, 128), (4096, 1)])
+    def test_assembly_matches_the_per_edge_loop(self, n_lat, n_lon):
+        grid = geo._assemble_grid(n_lat, n_lon)
+        L, *edges = _assemble_grid_loop(n_lat, n_lon)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(grid.L, name), getattr(L, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        for name, want in zip(("edge_a", "edge_b", "edge_len_bg", "pole_edge_node",
+                               "pole_edge_len"), edges):
+            got = getattr(grid, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
     def test_rejects_small_resolution(self):
         with pytest.raises(ValueError, match="resolution too small"):
             geo.build_grid(8, 16)

@@ -61,3 +61,23 @@ def test_traced_run_counts_solver_work(bench, tmp_path):
     metrics = layers.layer_metrics(tracer, 0)
     assert metrics["flow.factorizations"] == solver["factorizations"] > 0
     assert metrics["flow.backsolves"] == solver["backsolves"] > 0
+
+
+@pytest.mark.parametrize("n_lat, eps, t_max", [(4096, 6e-4, 0.1), (8192, 3e-4, 0.05)],
+                         ids=["stale_factor", "floor_rule"])
+def test_manifest_stall_refactorizations_match_the_trace(bench, tmp_path, n_lat, eps, t_max):
+    # the benchmark counts a factorization as stall-triggered when back-solves
+    # preceded it in the same solve; the stepper's own counter must agree,
+    # both after a stale factor stalls and once the residual-floor rule
+    # refactors every step without refining first
+    layers, spans = bench("layers"), bench("spans")
+    from conicflow import cli
+    from conftest import shipped_config
+
+    cfg = shipped_config("soliton_axis", n_lat=n_lat, eps=eps, t_max=t_max)
+    tracer = spans.Tracer()
+    with layers.instrumented(tracer):
+        solver = cli.execute_run(cfg, str(tmp_path / "run"))["manifest"]["solver"]
+    metrics = layers.layer_metrics(tracer, 0)
+    assert metrics["flow.stall_refactorizations"] == solver["stall_refactorizations"] > 0
+    assert solver["stall_refactorizations"] < solver["factorizations"]
