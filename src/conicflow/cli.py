@@ -16,8 +16,6 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from . import diagnostics as diag
 from . import flow as fl

@@ -65,11 +65,7 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows=None) -
     R = geo.conical_curvature(state)[mask]
     R_full = geo.scalar_curvature(state)[mask]
     chi = state.background.chi()
-    bmax = (
-        float(state.background.divisor.weights_float().max())
-        if state.background.divisor and state.background.divisor.k
-        else 0.0
-    )
+    bmax = state.background.beta_max()
     return {
         "r_min": float(R.min()),
         "r_max": float(R.max()),
@@ -130,11 +126,7 @@ def volume_ratio(state: geo.MetricState, p, r: float, rows=None) -> float:
     """ball_volume / model cap area at constant curvature 1 - beta_max."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    bmax = (
-        float(state.background.divisor.weights_float().max())
-        if state.background.divisor and state.background.divisor.k
-        else 0.0
-    )
+    bmax = state.background.beta_max()
     return geo.ball_volume(state, p, r, rows) / model_cap_area(r, 1.0 - bmax)
 
 

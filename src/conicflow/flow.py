@@ -80,6 +80,10 @@ class FlowConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
+        if self.sample_every <= 0:
+            raise ValueError("sample_every must be positive")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be nonnegative (0 turns snapshots off)")
         if self.initial not in INITIALS:
             raise ValueError(f"unknown initial condition {self.initial!r}")
 

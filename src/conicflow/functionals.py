@@ -8,14 +8,14 @@ round-off.
 On the eps-smoothed background the full Gauss-Bonnet mass is 2, not
 chi(S^2, beta), so the Poisson problems for the Ricci potential and for the
 background potential h are solvable only after removing the mean of the
-right-hand side (the resolved cone mass).  The removed mean is reported,
-never silently dropped.
+right-hand side (the resolved cone mass).  The mean removed for the Ricci
+potential is reported with it as ``RicciPotential.mean_correction``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,6 @@ from .geometry import (
     dirichlet_energy,
     grad_sq_field,
     integrate,
-    laplacian,
-    scalar_curvature,
 )
 
 
@@ -91,10 +89,9 @@ def h_background(bg: BackgroundMetric) -> np.ndarray:
     (mean-corrected), normalized by int e^h dg_bg = 2.  Cached on bg."""
     if bg.h is None:
         rhs = bg.R - bg.cone_term - 0.5 * bg.chi()
-        h, corr = _poisson(bg.grid, bg.mass, rhs)
+        h, _ = _poisson(bg.grid, bg.mass, rhs)
         h += math.log(2.0 / float(np.sum(np.exp(h) * bg.mass)))
         bg.h = h
-        bg.h_correction = corr
     return bg.h
 
 
@@ -112,7 +109,12 @@ def f_beta(state_or_phi, background: BackgroundMetric = None) -> float:
     where E is the calibrated Dirichlet energy.  Decreases along the flow;
     invariant under phi -> phi + const.
     """
-    phi, bg = _phi_and_bg(state_or_phi, background)
+    if isinstance(state_or_phi, MetricState):
+        phi, bg = recover_potential(state_or_phi), state_or_phi.background
+    elif background is None:
+        raise ValueError("a background is required when passing a raw potential")
+    else:
+        phi, bg = np.asarray(state_or_phi, dtype=float), background
     chi = bg.chi()
     h = h_background(bg)
     e = dirichlet_energy(phi, phi, bg.grid)
@@ -121,71 +123,16 @@ def f_beta(state_or_phi, background: BackgroundMetric = None) -> float:
     return 0.25 * e - 0.5 * lin - (2.0 / chi) * math.log(z)
 
 
-def f_beta_eps(state_or_phi, eps_f: float, background: BackgroundMetric = None) -> float:
-    """The eps-modified F with exponent chi/2 - eps_f in the log term."""
-    phi, bg = _phi_and_bg(state_or_phi, background)
-    chi = bg.chi()
-    if not 0.0 < eps_f < 0.5 * chi:
-        raise ValueError(f"need 0 < eps_f < chi/2 = {0.5 * chi}")
-    h = h_background(bg)
-    a = 0.5 * chi - eps_f
-    e = dirichlet_energy(phi, phi, bg.grid)
-    lin = float(np.sum(phi * bg.mass))
-    z = float(np.sum(np.exp(-a * phi + h) * bg.mass))
-    return 0.25 * e - 0.5 * lin - math.log(z) / a
-
-
-def lower_bound_monitor(state_or_phi, eps: float, background: BackgroundMetric = None) -> float:
-    """F(phi) + eps * E(phi): stays bounded below along semi-stable runs."""
-    phi, bg = _phi_and_bg(state_or_phi, background)
-    return f_beta(phi, bg) + eps * dirichlet_energy(phi, phi, bg.grid)
-
-
-def f_beta_rate_oracle(state: MetricState, v: np.ndarray = None) -> float:
-    """Closed-form dF/dt along the flow, for cross-checking the trace.
-
-    Equals (1/2) int v dg - int v e^v dg / int e^v dg, which is
-    -(1/2) int w (1 - e^(-w)) dg for w = -v shifted to int e^(-w) dg = 2;
-    nonpositive, vanishing only at constant curvature.
-    """
-    if v is None:
-        v = ricci_potential(state).v
-    ev = np.exp(v)
-    return 0.5 * integrate(v, state) - integrate(v * ev, state) / integrate(ev, state)
-
-
-def _phi_and_bg(state_or_phi, background):
-    if isinstance(state_or_phi, MetricState):
-        return recover_potential(state_or_phi), state_or_phi.background
-    if background is None:
-        raise ValueError("a background is required when passing a raw potential")
-    return np.asarray(state_or_phi, dtype=float), background
-
-
 # ----------------------------------------------------------------------
 # entropy functionals
 # ----------------------------------------------------------------------
 
 
-def w_functional(state: MetricState, f, tau: float) -> float:
-    """W(g, f, tau) = int (tau (R + |grad f|^2) + f - 2) e^(-f)/(4 pi tau) dg.
-
-    R is the smooth-part curvature: the entropy integral lives on the
-    punctured sphere, where the cone masses enter only through chi."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    f = np.asarray(f, dtype=float)
-    R = conical_curvature(state)
-    g2 = grad_sq_field(f, state)
-    integrand = (tau * (R + g2) + f - 2.0) * np.exp(-f) / (4.0 * math.pi * tau)
-    return integrate(integrand, state)
-
-
-def normalized_w(state: MetricState, f, return_shift: bool = False):
+def normalized_w(state: MetricState, f) -> float:
     """Normalized entropy int [(R + |grad f|^2)/(2 - sum beta) + f] e^(-f) dg.
 
-    The constraint int e^(-f) dg = 2 is enforced by an additive shift of f
-    (idempotent; the shift is returned on request).
+    The constraint int e^(-f) dg = 2 is enforced by an additive shift of f,
+    so the value does not depend on the additive constant of f.
     """
     f = np.asarray(f, dtype=float)
     chi = state.background.chi()
@@ -193,68 +140,7 @@ def normalized_w(state: MetricState, f, return_shift: bool = False):
     f = f + shift
     R = conical_curvature(state)
     g2 = grad_sq_field(f, state)
-    w = integrate(((R + g2) / chi + f) * np.exp(-f), state)
-    return (w, shift) if return_shift else w
-
-
-@dataclass
-class MuEstimate:
-    value: float
-    tag: str = "upper-bound estimate"
-    history: np.ndarray = field(default=None, repr=False)
-    iterations: int = 0
-
-
-def mu_estimate(state: MetricState, budget: int = 60) -> MuEstimate:
-    """Upper bound on mu(g) by constrained descent of the normalized entropy.
-
-    Starts from the natural candidate f = -v (Ricci potential) and performs
-    projected gradient descent on f under int e^(-f) dg = 2, accepting only
-    decreasing steps.  The result is an upper bound for the infimum, never a
-    certified value; it is monotone non-increasing in the budget.
-    """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    bg = state.background
-    a = 1.0 / bg.chi()
-    R = conical_curvature(state)
-    f = -ricci_potential(state).v
-    f = f + math.log(integrate(np.exp(-f), state) / 2.0)
-
-    def w_of(fld):
-        g2 = grad_sq_field(fld, state)
-        return integrate(((R + g2) * a + fld) * np.exp(-fld), state)
-
-    w = w_of(f)
-    history = [w]
-    step = 0.25
-    it = 0
-    for it in range(1, budget + 1):
-        grad = -2.0 * a * laplacian(f, state) + a * grad_sq_field(f, state) - a * R - f + 1.0
-        weight = np.exp(-f) * state.mass
-        grad = grad - float(np.sum(grad * weight)) / float(np.sum(weight))
-        gnorm2 = float(np.sum(grad * grad * weight))
-        if gnorm2 < 1e-24:
-            break
-        accepted = False
-        for _ in range(25):
-            cand = f - step * grad
-            cand = cand + math.log(integrate(np.exp(-cand), state) / 2.0)
-            wc = w_of(cand)
-            if wc < w - 1e-15:
-                f, w = cand, wc
-                step *= 1.3
-                accepted = True
-                break
-            step *= 0.5
-        history.append(w)
-        if not accepted:
-            break
-        if len(history) > 2 and history[-2] - history[-1] < 1e-13:
-            break
-    if not np.isfinite(w):
-        raise RuntimeError("entropy descent diverged")
-    return MuEstimate(w, history=np.asarray(history), iterations=it)
+    return integrate(((R + g2) / chi + f) * np.exp(-f), state)
 
 
 def chow_shift(s0: float, t: float, half_chi: float) -> float:

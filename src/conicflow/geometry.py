@@ -1,7 +1,9 @@
 """Discrete differential geometry on the sphere.
 
-Unit conventions ("paper units"), fixed once by :func:`calibrate_units` and
-used everywhere in the package:
+Unit conventions ("paper units"), used everywhere in the package and
+checked by the tests through their defining identities (round area 2,
+round curvature 1, discrete integration by parts, agreement with an
+independent finite-difference curvature oracle):
 
 * ``dg`` is the honest Riemannian area measure, with the round background
   normalized to total area 2 (so the round radius is r = (2 pi)^(-1/2));
@@ -45,13 +47,9 @@ MIN_N_LAT = 16
 MIN_N_LON = 32
 
 
-class CalibrationError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class UnitConstants:
-    """The internal unit convention, immutable after calibration."""
+    """The internal unit convention, written to every run's manifest."""
 
     round_area: float = 2.0
     round_radius_sq: float = ROUND_R2
@@ -341,7 +339,9 @@ class BackgroundMetric:
     exactly sum(beta).  The conical flow and the conical functionals use the
     smooth-part curvature R - e^-u cone_term, which integrates to chi; the
     difference between sum(beta) and the quadrature of the bump is the
-    unresolved cone mass reported as area drift by the flow.
+    unresolved cone mass, which the flow reports as area drift
+    (``renorm_drift``).  ``h`` caches the background's Ricci potential,
+    filled by :func:`conicflow.functionals.h_background`.
     """
 
     grid: SphereGrid
@@ -351,9 +351,7 @@ class BackgroundMetric:
     log_rho: np.ndarray
     R: np.ndarray  # background scalar curvature field (full, smoothed)
     cone_term: np.ndarray  # smoothed delta masses, divided by rho
-    resolved_cone_mass: float = 0.0  # quadrature of the bump; ~ sum(beta)
     h: np.ndarray = None  # Ricci potential of the background (cached)
-    h_correction: float = 0.0
 
     @property
     def mass(self) -> np.ndarray:
@@ -361,6 +359,10 @@ class BackgroundMetric:
 
     def chi(self) -> float:
         return 2.0 - (self.divisor.weights_float().sum() if self.divisor else 0.0)
+
+    def beta_max(self) -> float:
+        """The largest cone weight; 0 without marked points."""
+        return float(self.divisor.weights_float().max()) if self.divisor and self.divisor.k else 0.0
 
 
 def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> BackgroundMetric:
@@ -406,11 +408,7 @@ def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> Backgro
     # R - delta/rho = (chi/2)/rho pointwise, so the smooth part is positive
     # and the conical total curvature equals chi to round-off.
     R = (1.0 - 0.5 * lap_log) / rho
-    resolved = float(np.sum(delta * grid.w))
-    return BackgroundMetric(
-        grid, divisor, float(eps), rho, log_rho, R,
-        cone_term=delta / rho, resolved_cone_mass=resolved,
-    )
+    return BackgroundMetric(grid, divisor, float(eps), rho, log_rho, R, cone_term=delta / rho)
 
 
 @dataclass
@@ -432,9 +430,6 @@ class MetricState:
     def area(self) -> float:
         return float(np.sum(self.mass))
 
-    def copy(self) -> "MetricState":
-        return MetricState(self.background, self.u.copy(), self.t)
-
 
 def make_state(background: BackgroundMetric, u=None, t: float = 0.0) -> MetricState:
     if u is None:
@@ -450,15 +445,6 @@ def make_state(background: BackgroundMetric, u=None, t: float = 0.0) -> MetricSt
 def integrate(f, state: MetricState) -> float:
     """integral f dg = sum f_i w_i rho_i e^(u_i)."""
     return float(np.sum(np.asarray(f) * state.mass))
-
-
-def laplacian(f, state: MetricState) -> np.ndarray:
-    """Metric Laplacian in paper scale; annihilates constants, self-adjoint
-    with respect to the dg inner product."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (state.grid.n,):
-        raise ValueError("field does not match the grid")
-    return -(state.grid.L @ f) / state.mass
 
 
 def scalar_curvature(state: MetricState) -> np.ndarray:
@@ -497,43 +483,6 @@ def grad_sq_field(f, state: MetricState) -> np.ndarray:
     L = state.grid.L
     e = 2.0 * f * (L @ f) - (L @ (f * f))
     return 0.5 * np.maximum(e, 0.0) / state.mass
-
-
-# ----------------------------------------------------------------------
-# independent curvature oracle (Mercator finite differences)
-# ----------------------------------------------------------------------
-
-
-def curvature_oracle(state: MetricState):
-    """Gauss-curvature finite differences in conformal (Mercator) coordinates.
-
-    Returns (field, mask); the mask excludes the first and last latitude
-    rows where one-sided stencils would degrade the comparison.  Independent
-    of the stencil matrix: uses log-density second differences only.
-    """
-    grid = state.grid
-    log_dens = (np.log(state.background.rho) + state.u).reshape(grid.n_lat, grid.n_lon)
-    sin_th = np.sin(grid.theta)[:, None]
-    cos_th = np.cos(grid.theta)[:, None]
-    h_th = grid.h_theta
-    d1 = np.zeros_like(log_dens)
-    d2 = np.zeros_like(log_dens)
-    d1[1:-1] = (log_dens[2:] - log_dens[:-2]) / (2.0 * h_th)
-    d2[1:-1] = (log_dens[2:] - 2.0 * log_dens[1:-1] + log_dens[:-2]) / (h_th * h_th)
-    # flat Laplacian in Mercator coordinates via d/dm = sin(theta) d/dtheta;
-    # the round factor 2 log sin(theta) = -2 log cosh m contributes exactly
-    # -2 sin^2(theta)
-    lap = sin_th * sin_th * d2 + sin_th * cos_th * d1 - 2.0 * sin_th * sin_th
-    if grid.n_lon > 1:
-        h_eta = TWO_PI / grid.n_lon
-        lap += (
-            np.roll(log_dens, 1, axis=1) - 2.0 * log_dens + np.roll(log_dens, -1, axis=1)
-        ) / h_eta**2
-    H = ROUND_R2 * state.background.rho * np.exp(state.u) * np.repeat(sin_th.ravel() ** 2, grid.n_lon)
-    R = -lap.ravel() / (FOUR_PI * H)
-    mask = np.ones(grid.n, dtype=bool).reshape(grid.n_lat, grid.n_lon)
-    mask[0, :] = mask[-1, :] = False
-    return R, mask.ravel()
 
 
 # ----------------------------------------------------------------------
@@ -593,10 +542,6 @@ def marked_rows(state: MetricState, rows=None) -> list:
     return [rows[_node(state, p)] for p in pts]
 
 
-def geodesic_distance(state: MetricState, a, b) -> float:
-    return float(distances_from(state, a)[_node(state, b)])
-
-
 def pairwise_marked_distances(state: MetricState, rows=None) -> np.ndarray:
     nodes = [_node(state, p) for p in state.grid.marked_points]
     k = len(nodes)
@@ -633,56 +578,6 @@ def diameter_estimate(state: MetricState, rows=None) -> float:
         d = rows[s]
         best = max(best, float(d[np.isfinite(d)].max()))
     return best
-
-
-# ----------------------------------------------------------------------
-# calibration self-test
-# ----------------------------------------------------------------------
-
-
-def calibrate_units(n_lat: int = 32, n_lon: int = 64, seed: int = 0) -> UnitConstants:
-    """Verify the unit conventions by their defining identities.
-
-    (i) quadrature of constants: total round area 2; (ii) round curvature
-    R = 1 exactly; (iii) the conformal curvature formula agrees with an
-    independent Gauss-curvature finite-difference oracle; (iv) discrete
-    integration by parts holds to round-off for random field pairs.
-    Raises :class:`CalibrationError` if any identity fails.
-    """
-    grid = build_grid(max(n_lat, MIN_N_LAT), max(n_lon, MIN_N_LON))
-    bg = background_metric(grid, None, eps=0.1)
-    state = make_state(bg)
-    rng = np.random.default_rng(seed)
-
-    if abs(float(np.sum(grid.w)) - 2.0) > 1e-12:
-        raise CalibrationError("round area quadrature failed")
-    if np.max(np.abs(scalar_curvature(state) - 1.0)) > 1e-10:
-        raise CalibrationError("round curvature normalization failed")
-
-    for _ in range(20):
-        f = rng.standard_normal(grid.n)
-        h = rng.standard_normal(grid.n)
-        lhs = integrate(laplacian(f, state) * h, state)
-        rhs = -dirichlet_energy(f, h, grid)
-        if abs(lhs - rhs) > 1e-10 * max(1.0, abs(rhs)):
-            raise CalibrationError("integration by parts failed")
-        if abs(integrate(laplacian(f, state), state)) > 1e-10 * np.abs(f).max():
-            raise CalibrationError("divergence form failed")
-
-    th = np.repeat(grid.theta, grid.n_lon)
-    et = np.tile(grid.eta, grid.n_lat)
-    u = 0.3 * np.sin(th) * np.cos(et) + 0.2 * np.cos(th)
-    smooth = make_state(bg, u)
-    R = scalar_curvature(smooth)
-    R_oracle, mask = curvature_oracle(smooth)
-    m2 = mask.reshape(grid.n_lat, grid.n_lon)
-    m2[:3, :] = m2[-3:, :] = False
-    resid = np.max(np.abs((R - R_oracle)[m2.ravel()]))
-    # the two discretizations agree to ~1e-3 here; a wrong 2 pi convention
-    # anywhere would show up at O(1)
-    if resid > 0.05:
-        raise CalibrationError(f"conformal curvature identity residual {resid:.2e}")
-    return UNITS
 
 
 # ----------------------------------------------------------------------

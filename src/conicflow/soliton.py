@@ -217,9 +217,6 @@ class RadialProfile:
         """R as a function of cumulative area measured from the x=+1 end."""
         return self.curvature_of(1.0 - np.asarray(a, dtype=float))
 
-    def area(self) -> float:
-        return 2.0
-
     def to_csv(self, path: str) -> None:
         """Write the sampled profile as (x, phi, R, theta) rows."""
         with open(path, "w") as fh:
@@ -327,28 +324,8 @@ def football(beta: float, n: int = 256) -> RadialProfile:
     return soliton_profile(beta, beta, n)
 
 
-def _gauss_legendre(n: int = 200):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
-
-
 def profile_quadrature_f(prof: RadialProfile, n: int = 200) -> float:
     """int theta e^theta dg over the profile by Gauss-Legendre quadrature."""
-    x, w = _gauss_legendre(n)
+    x, w = np.polynomial.legendre.leggauss(n)
     th = prof.theta_of(x)
     return float(np.sum(w * th * np.exp(th)))
-
-
-def profile_normalized_w(prof: RadialProfile, n: int = 200) -> float:
-    """Normalized entropy of the profile at f = -theta by direct quadrature.
-
-    Evaluates int [ (R + |grad f|^2) / chi + f ] e^{-f} dg with the
-    moment-coordinate gradient |grad(-theta)|^2 = phi c^2 / 2; ties the ODE
-    reconstruction, the measure convention, and the closed form together.
-    """
-    x, w = _gauss_legendre(n)
-    th = prof.theta_of(x)
-    R = prof.curvature_of(x)
-    grad2 = 0.5 * prof.phi_of(x) * prof.c**2
-    integrand = ((R + grad2) / prof.chi - th) * np.exp(th)
-    return float(np.sum(w * integrand))

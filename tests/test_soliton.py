@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
+from oracles import profile_normalized_w
 
 
 def quad_tau(c, n=200001):
@@ -221,7 +222,7 @@ class TestProfiles:
             bp = rng.uniform(0.05, 0.95)
             bq = rng.uniform(0.0, bp)
             p = sol.soliton_profile(bp, bq)
-            w_quad = sol.profile_normalized_w(p)
+            w_quad = profile_normalized_w(p)
             assert abs(w_quad - sol.soliton_w(bp, bq)) < 1e-8
 
     def test_profile_positive_inside(self):
