@@ -314,7 +314,6 @@ def cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad base config {base_path!r}: {exc}") from exc
     out_root = args.out or "sweep_out"
-    os.makedirs(out_root, exist_ok=True)
     keys = sorted(lists.keys())
     jobs = []
     for combo in itertools.product(*(lists[k] for k in keys)):
@@ -326,6 +325,8 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise UsageError(f"bad sweep values {overrides}: {exc}") from exc
         jobs.append((config, overrides, os.path.join(out_root, tag), tag))
+    # every job is checked before anything is written
+    os.makedirs(out_root, exist_ok=True)
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_one, jobs))
@@ -383,7 +384,8 @@ def cmd_report(args) -> int:
     rp = fn.ricci_potential(state)
     print(f"f_beta: {fn.f_beta(state):.8g}")
     print(f"normalized_w(-v): {fn.normalized_w(state, -rp.v):.8g}")
-    print(f"soliton_residual: {fn.soliton_residual(state, rp.v):.6g}")
+    rows = geo.geodesic_rows(state, state.grid.marked_nodes)
+    print(f"soliton_residual: {fn.soliton_residual(state, rp.v, rows):.6g}")
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())

@@ -39,19 +39,19 @@ class Thresholds:
         return dict(self.__dict__)
 
 
-def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows=None) -> dict:
+def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows: dict) -> dict:
     """Curvature extremes over the sphere minus delta-balls at marked points.
 
     ``delta_exclusion`` must stay outside the smoothed cone cores
-    (at least 2 eps).  ``rows`` are precomputed geodesic rows covering the
-    marked points (see :func:`conicflow.geometry.geodesic_rows`).
+    (at least 2 eps).  ``rows`` are geodesic rows covering the grid's
+    ``marked_nodes`` (see :func:`conicflow.geometry.geodesic_rows`).
     """
     eps = state.background.eps
     if delta_exclusion < 2.0 * eps:
         raise ValueError(f"delta_exclusion must be >= 2 eps = {2 * eps}")
     mask = np.ones(state.grid.n, dtype=bool)
-    for d in geo.marked_rows(state, rows):
-        mask &= d > delta_exclusion
+    for node in state.grid.marked_nodes:
+        mask &= rows[node] > delta_exclusion
     if state.grid.n_lon > 1:
         # the pole closure is first-order; its two rows carry ~1e-4 of the
         # area but would pollute sup-norms of imported (non-flow) states
@@ -79,9 +79,10 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows=None) -
     }
 
 
-def marked_point_clusters(state: geo.MetricState, tol: float, rows=None):
+def marked_point_clusters(state: geo.MetricState, tol: float, rows: dict):
     """Single-linkage clustering of the marked points under the geodesic
-    distance; returns (clusters as sorted index lists, distance matrix)."""
+    distance of ``rows`` (covering the marked nodes); returns (clusters as
+    sorted index lists, distance matrix)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     k = len(state.grid.marked_points)
@@ -122,12 +123,13 @@ def model_cap_area(r: float, curvature: float) -> float:
     return (1.0 - math.cos(arg)) / curvature
 
 
-def volume_ratio(state: geo.MetricState, p, r: float, rows=None) -> float:
-    """ball_volume / model cap area at constant curvature 1 - beta_max."""
+def volume_ratio(state: geo.MetricState, dist: np.ndarray, r: float) -> float:
+    """ball_volume / model cap area at constant curvature 1 - beta_max, for
+    the ball about the node whose distance row is ``dist``."""
     if r <= 0:
         raise ValueError("radius must be positive")
     bmax = state.background.beta_max()
-    return geo.ball_volume(state, p, r, rows) / model_cap_area(r, 1.0 - bmax)
+    return geo.ball_volume(state, dist, r) / model_cap_area(r, 1.0 - bmax)
 
 
 # ----------------------------------------------------------------------
@@ -135,14 +137,13 @@ def volume_ratio(state: geo.MetricState, p, r: float, rows=None) -> float:
 # ----------------------------------------------------------------------
 
 
-def curvature_area_curve(state: geo.MetricState, center, rows=None):
+def curvature_area_curve(state: geo.MetricState, dist: np.ndarray):
     """Mass-weighted mean smooth-part curvature in PROFILE_BINS uniform
-    cumulative-area bins, measured outward from ``center``; returns
-    (bin centers, means).  Matches the convention of
+    cumulative-area bins, measured outward from the node whose distance row
+    is ``dist``; returns (bin centers, means).  Matches the convention of
     :class:`conicflow.soliton.RadialProfile`, whose R is also the curvature
     of the punctured surface."""
-    d = geo.distances_from(state, center, rows)
-    order = np.argsort(d)
+    order = np.argsort(dist)
     mass = state.mass[order]
     R = geo.conical_curvature(state)[order]
     a = np.cumsum(mass) - 0.5 * mass
@@ -157,21 +158,22 @@ def curvature_area_curve(state: geo.MetricState, center, rows=None):
 
 
 def compare_to_profile(
-    state: geo.MetricState, profile: sol.RadialProfile, margin: float = 0.15, rows=None
+    state: geo.MetricState, profile: sol.RadialProfile, rows: dict, margin: float = 0.15
 ) -> float:
     """RMS mismatch between the state's curvature-vs-area curve and the
-    profile's, measured from the deepest cone point.
+    profile's, measured from the deepest cone point; ``rows`` covers the
+    grid's ``marked_nodes``.
 
     Parametrization-free (hence invariant under rotation about the cluster
     axis and under the soliton gauge drift); the cumulative-area margins at
     both ends exclude the smoothed cone cores, whose curvature spikes would
     otherwise dominate the norm.
     """
-    k = len(state.grid.marked_points)
-    if k == 0:
+    nodes = state.grid.marked_nodes
+    if not nodes:
         raise ValueError("profile comparison needs marked points")
-    center = state.grid.marked_points[k - 1]  # weights sorted: deepest cone last
-    a, r_state = curvature_area_curve(state, center, rows)
+    # weights sorted: deepest cone last
+    a, r_state = curvature_area_curve(state, rows[nodes[-1]])
     keep = (a >= margin) & (a <= 2.0 - margin) & np.isfinite(r_state)
     r_prof = profile.curvature_of_area(a[keep])
     diff = r_state[keep] - r_prof
@@ -253,13 +255,15 @@ def _residual_floor(state, bg, divisor, profile):
     if state.grid.n_lon == 1 and divisor.k == 2:
         w = divisor.weights_float()
         axis = divisor.positions[int(np.argmax(w))]
-        return fn.soliton_residual(profile_state(bg, profile, axis))
-    ctrl_lat, ctrl_lon = state.grid.n_lat, state.grid.n_lon
-    ctrl_eps = max(bg.eps, 1.01 * math.pi / (ctrl_lat * math.sqrt(2.0)))
-    control = football_control_state(
-        ctrl_lat, ctrl_lon, 0.5 * (2.0 - bg.chi()) if divisor.k else 0.0, ctrl_eps
-    )
-    return fn.soliton_residual(control)
+        ref = profile_state(bg, profile, axis)
+    else:
+        ctrl_lat, ctrl_lon = state.grid.n_lat, state.grid.n_lon
+        ctrl_eps = max(bg.eps, 1.01 * math.pi / (ctrl_lat * math.sqrt(2.0)))
+        ref = football_control_state(
+            ctrl_lat, ctrl_lon, 0.5 * (2.0 - bg.chi()) if divisor.k else 0.0, ctrl_eps
+        )
+    rows = geo.geodesic_rows(ref, ref.grid.marked_nodes)
+    return fn.soliton_residual(ref, fn.ricci_potential(ref).v, rows)
 
 
 @dataclass
@@ -314,7 +318,7 @@ def detect_convergence(
     th = thresholds or Thresholds()
     bg = final_state.background
     delta = max(th.delta_exclusion, 2.0 * bg.eps)
-    rows = geo.geodesic_rows(final_state, final_state.grid.marked_points)
+    rows = geo.geodesic_rows(final_state, final_state.grid.marked_nodes)
     stats = curvature_stats(final_state, delta, rows)
     clusters, dmat = marked_point_clusters(final_state, th.cluster_tol, rows)
     with warnings.catch_warnings():
@@ -348,7 +352,7 @@ def detect_convergence(
                 "rerun with smaller eps"
             )
     else:
-        resid = fn.soliton_residual(final_state, rows=rows)
+        resid = fn.soliton_residual(final_state, fn.ricci_potential(final_state).v, rows)
         residuals["soliton_residual"] = resid
         if len(clusters) == 2:
             best = None
@@ -356,7 +360,7 @@ def detect_convergence(
                 if not ld.valid:
                     continue
                 prof = sol.soliton_profile(ld.beta_p, ld.beta_q)
-                r = compare_to_profile(final_state, prof, margin=th.profile_margin, rows=rows)
+                r = compare_to_profile(final_state, prof, rows, margin=th.profile_margin)
                 if best is None or r < best[0]:
                     best = (r, ld, prof)
             if best is not None:

@@ -78,6 +78,9 @@ class FlowConfig:
     auto_stop: bool = True
 
     def __post_init__(self):
+        for name in ("eps", "dt", "t_max", "sample_every", "snapshot_every"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.dt <= 0 or self.t_max <= 0:
             raise ValueError("dt and t_max must be positive")
         if self.sample_every <= 0:
@@ -297,11 +300,9 @@ class _ImplicitStepper:
 
 
 def _semi_implicit_step(
-    state: geo.MetricState, dt: float, stepper: _ImplicitStepper = None
+    state: geo.MetricState, dt: float, stepper: _ImplicitStepper
 ) -> geo.MetricState:
     bg = state.background
-    if stepper is None:
-        stepper = _ImplicitStepper(bg)
     a = np.exp(-state.u)
     r_bg = bg.R - bg.cone_term
     d = bg.mass / (dt * a)
@@ -358,8 +359,10 @@ class FlowTrace:
 
 
 def _sample_record(state, rp, chow_s, drift):
-    # one geodesic pass serves every distance monitor of this sample
-    rows = geo.geodesic_rows(state, geo.diameter_sources(state))
+    # one geodesic pass from the grid's diameter sources, which include the
+    # marked nodes, serves every distance monitor of this sample
+    grid = state.grid
+    rows = geo.geodesic_rows(state, grid.diameter_nodes)
     R = geo.scalar_curvature(state)
     r_cone = geo.conical_curvature(state)
     rec = {
@@ -373,20 +376,18 @@ def _sample_record(state, rp, chow_s, drift):
         "hamilton_entropy": fn.hamilton_entropy(state, chow_s),
         "chow_s": chow_s,
         "w_normalized": fn.normalized_w(state, -rp.v),
-        "soliton_residual": fn.soliton_residual(state, rp.v, rows=rows),
+        "soliton_residual": fn.soliton_residual(state, rp.v, rows),
         "renorm_drift": drift,
     }
-    k = len(state.grid.marked_points)
+    k = len(grid.marked_nodes)
     if k:
         dmat = geo.pairwise_marked_distances(state, rows)
         for i in range(k):
             for j in range(i + 1, k):
                 rec[f"d_p{i + 1}_p{j + 1}"] = dmat[i, j]
-        for i in range(k):
-            rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(
-                state, state.grid.marked_points[i], BALL_RADIUS, rows
-            )
-    rec["diameter"] = geo.diameter_estimate(state, rows=rows)
+        for i, node in enumerate(grid.marked_nodes):
+            rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(state, rows[node], BALL_RADIUS)
+    rec["diameter"] = geo.diameter_estimate(state, rows)
     return rec
 
 

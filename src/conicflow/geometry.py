@@ -99,7 +99,9 @@ class SphereGrid:
     weights are exact cell areas of the round area-2 background, so constants
     integrate exactly.  ``L`` is the positive semi-definite stiffness matrix
     of the calibrated Dirichlet form (kernel = constants), shared by every
-    conformal metric on the grid.
+    conformal metric on the grid.  The builders find the marked points'
+    nodes and the diameter's source nodes once; the distance monitors read
+    :func:`geodesic_rows` by these nodes and never map a point to a node.
     """
 
     n_lat: int
@@ -110,6 +112,8 @@ class SphereGrid:
     L: sp.csr_matrix = field(repr=False)
     divisor: Divisor = None
     marked_points: np.ndarray = None  # possibly nudged copies of the positions
+    marked_nodes: list = None  # nearest node of each marked point, in order
+    diameter_nodes: list = None  # sources of :func:`diameter_estimate`
     nudges: list = field(default_factory=list)
     edge_a: np.ndarray = field(default=None, repr=False)
     edge_b: np.ndarray = field(default=None, repr=False)
@@ -178,6 +182,20 @@ class SphereGrid:
         return x
 
 
+#: the six coordinate-axis points, sources of :func:`diameter_estimate`
+AXIS_POINTS = ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1])
+
+
+def _place_marked_points(grid: SphereGrid, points: np.ndarray) -> None:
+    """Set the marked points and the nodes the distance monitors read: each
+    marked point's nearest node, and the diameter's sources (the axis nodes
+    and the marked nodes, without repeats)."""
+    grid.marked_points = points
+    grid.marked_nodes = [grid.nearest_node(p) for p in points]
+    axes = [grid.nearest_node(p) for p in AXIS_POINTS]
+    grid.diameter_nodes = list(dict.fromkeys(axes + grid.marked_nodes))
+
+
 def _check_marked_points(grid: SphereGrid, divisor: Divisor) -> None:
     if divisor is None or divisor.k == 0:
         return
@@ -222,9 +240,9 @@ def build_grid(n_lat: int, n_lon: int, divisor: Divisor = None) -> SphereGrid:
             if ang < 1e-9:
                 pts[idx] = vec_from_angles(theta, eta + 0.5 * h_eta)
                 grid.nudges.append((idx, 0.5 * h_eta))
-        grid.marked_points = pts
     else:
-        grid.marked_points = np.zeros((0, 3))
+        pts = np.zeros((0, 3))
+    _place_marked_points(grid, pts)
     _check_marked_points(grid, divisor)
     return grid
 
@@ -248,7 +266,8 @@ def build_axis_grid(n_lat: int, divisor: Divisor = None) -> SphereGrid:
             raise ValueError("two axisymmetric marked points must be at opposite poles")
     grid = _assemble_grid(n_lat, 1)
     grid.divisor = divisor
-    grid.marked_points = divisor.positions.copy() if (divisor and divisor.k) else np.zeros((0, 3))
+    pts = divisor.positions.copy() if (divisor and divisor.k) else np.zeros((0, 3))
+    _place_marked_points(grid, pts)
     return grid
 
 
@@ -506,75 +525,48 @@ def _edge_graph(state: MetricState) -> sp.csr_matrix:
     return sp.coo_matrix((data, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
 
 
-def _node(state: MetricState, point) -> int:
-    return int(point) if isinstance(point, (int, np.integer)) else state.grid.nearest_node(point)
-
-
-def geodesic_rows(state: MetricState, sources) -> dict:
-    """Graph geodesic distances from each source (point or node index) to
-    all nodes, keyed by source node.
+def geodesic_rows(state: MetricState, nodes) -> dict:
+    """Graph geodesic distances from each source node to all nodes, keyed
+    by node.
 
     8-neighbor Dijkstra with edge lengths scaled by e^(u/2); an upper bound
     on the true distance, first-order convergent, and exactly a metric.  The
     edge graph is built once and one multi-source Dijkstra serves every
-    distinct source node; each row equals its single-source run exactly.
+    distinct node; each row equals its single-source run exactly.  This is
+    the only distance pass: the monitors below read its rows.
     """
-    nodes = list(dict.fromkeys(_node(state, s) for s in sources))
+    nodes = list(dict.fromkeys(nodes))
     if not nodes:
         return {}
     d = _csgraph_dijkstra(_edge_graph(state), directed=False, indices=nodes)
     return {s: d[i, : state.grid.n] for i, s in enumerate(nodes)}
 
 
-def distances_from(state: MetricState, source, rows=None) -> np.ndarray:
-    """Graph geodesic distances from a point (or node index) to all nodes:
-    its row of ``rows`` when given, else a one-source :func:`geodesic_rows`."""
-    node = _node(state, source)
-    return (geodesic_rows(state, [node]) if rows is None else rows)[node]
-
-
-def marked_rows(state: MetricState, rows=None) -> list:
-    """Distance rows of the marked points, in marked-point order; one
-    :func:`geodesic_rows` pass when ``rows`` is not given."""
-    pts = state.grid.marked_points
-    if rows is None:
-        rows = geodesic_rows(state, pts)
-    return [rows[_node(state, p)] for p in pts]
-
-
-def pairwise_marked_distances(state: MetricState, rows=None) -> np.ndarray:
-    nodes = [_node(state, p) for p in state.grid.marked_points]
+def pairwise_marked_distances(state: MetricState, rows: dict) -> np.ndarray:
+    """Symmetrized distances between the marked points; ``rows`` covers the
+    grid's ``marked_nodes``."""
+    nodes = state.grid.marked_nodes
     k = len(nodes)
-    out = np.array([d[nodes] for d in marked_rows(state, rows)]).reshape(k, k)
+    out = np.array([rows[n][nodes] for n in nodes]).reshape(k, k)
     return 0.5 * (out + out.T)
 
 
-def ball_volume(state: MetricState, center, r: float, rows=None) -> float:
-    """dg-area of the geodesic ball of radius r about the given point."""
+def ball_volume(state: MetricState, dist: np.ndarray, r: float) -> float:
+    """dg-area of the geodesic ball of radius r about the node whose
+    distance row is ``dist``."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
     if r == 0.0:
         return 0.0
-    d = distances_from(state, center, rows)
-    return float(np.sum(state.mass[d <= r]))
+    return float(np.sum(state.mass[dist <= r]))
 
 
-def diameter_sources(state: MetricState) -> list:
-    """Source nodes of :func:`diameter_estimate`: the six coordinate-axis
-    nodes and the marked points, without repeats."""
-    axes = ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1])
-    points = [*axes, *state.grid.marked_points]
-    return list(dict.fromkeys(_node(state, p) for p in points))
-
-
-def diameter_estimate(state: MetricState, rows=None) -> float:
-    """Max graph distance over a small source set (marked points plus the
-    coordinate axes); a diagnostic, not a certified diameter."""
-    sources = diameter_sources(state)
-    if rows is None:
-        rows = geodesic_rows(state, sources)
+def diameter_estimate(state: MetricState, rows: dict) -> float:
+    """Max graph distance over the grid's ``diameter_nodes`` (marked points
+    plus the coordinate axes), whose rows ``rows`` covers; a diagnostic,
+    not a certified diameter."""
     best = 0.0
-    for s in sources:
+    for s in state.grid.diameter_nodes:
         d = rows[s]
         best = max(best, float(d[np.isfinite(d)].max()))
     return best

@@ -54,6 +54,7 @@ FLOW_FIXTURES = {
     "unstable_eps_sweep",
     "soliton_axis_result",
     "football_control",
+    "football_control_beta06",
 }
 
 
@@ -138,3 +139,10 @@ def football_control():
     from conicflow import diagnostics as diag
 
     return diag.football_control_state(64, 128, 0.55, 0.05)
+
+
+@pytest.fixture(scope="session")
+def football_control_beta06():
+    from conicflow import diagnostics as diag
+
+    return diag.football_control_state(64, 128, 0.6, 0.05)

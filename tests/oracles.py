@@ -4,8 +4,8 @@ None of these has a caller in the package: each is an independent route to
 a quantity the package computes another way (the F dissipation rate, the
 unnormalized W entropy, a mu upper bound, the metric Laplacian, a
 Gauss-curvature finite-difference oracle, the profile entropy by
-quadrature).  They live here so that ``src/conicflow`` holds only code a
-run reaches.
+quadrature), or a test's shortcut to the distance rows a monitor reads.
+They live here so that ``src/conicflow`` holds only code a run reaches.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from conicflow.geometry import (
     TWO_PI,
     MetricState,
     conical_curvature,
+    geodesic_rows,
     grad_sq_field,
     integrate,
 )
@@ -31,6 +32,19 @@ from conicflow.soliton import RadialProfile
 # ----------------------------------------------------------------------
 # geometry
 # ----------------------------------------------------------------------
+
+
+def distances_from(state: MetricState, point) -> np.ndarray:
+    """Graph distances from the node nearest ``point``: a one-source
+    :func:`geodesic_rows` pass."""
+    node = state.grid.nearest_node(point)
+    return geodesic_rows(state, [node])[node]
+
+
+def marked_point_rows(state: MetricState) -> dict:
+    """The rows the marked-point monitors read: one :func:`geodesic_rows`
+    pass from the grid's marked nodes."""
+    return geodesic_rows(state, state.grid.marked_nodes)
 
 
 def laplacian(f, state: MetricState) -> np.ndarray:

@@ -23,7 +23,13 @@ from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
 from conftest import shipped_divisor
-from oracles import laplacian, mu_estimate, profile_normalized_w
+from oracles import (
+    distances_from,
+    laplacian,
+    marked_point_rows,
+    mu_estimate,
+    profile_normalized_w,
+)
 
 STEPS_PER_SAMPLE = 50  # shipped configs: sample_every = 0.5, dt = 0.01
 PER_STEP_SLACK = 1e-6
@@ -140,7 +146,7 @@ def test_criterion_4_calibration():
     for eps in eps_list:
         g = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(g, d, eps))
-        dist = geo.distances_from(st, g.marked_points[0])
+        dist = distances_from(st, g.marked_points[0])
         mass = geo.scalar_curvature(st) * st.mass
         vals.append(float(mass[dist <= delta].sum()))
     e1, e2 = eps_list[-2] ** 2, eps_list[-1] ** 2
@@ -176,10 +182,11 @@ def test_criterion_5_conservation_and_monotonicity(shipped_runs):
 def test_criterion_6_stable_constant_curvature(shipped_results):
     res = shipped_results["stable"]
     state = res["trace"].final_state
-    stats = diag.curvature_stats(state, 0.25)
+    stats = diag.curvature_stats(state, 0.25, marked_point_rows(state))
     assert stats["sup_dev_half_chi"] < 5e-2
-    d0 = geo.pairwise_marked_distances(geo.make_state(state.background))
-    d1 = geo.pairwise_marked_distances(state)
+    start = geo.make_state(state.background)
+    d0 = geo.pairwise_marked_distances(start, marked_point_rows(start))
+    d1 = geo.pairwise_marked_distances(state, marked_point_rows(state))
     for i in range(3):
         for j in range(i + 1, 3):
             assert d1[i, j] >= 0.5 * d0[i, j], (i, j)
@@ -194,7 +201,7 @@ def test_criterion_6_stable_constant_curvature(shipped_results):
 
 def test_criterion_7_semistable_curvature(shipped_results):
     state = shipped_results["semistable"]["trace"].final_state
-    stats = diag.curvature_stats(state, 0.25)
+    stats = diag.curvature_stats(state, 0.25, marked_point_rows(state))
     assert stats["sup_dev_football"] < 5e-2
     ok(7, f"sup|R - 0.4| = {stats['sup_dev_football']:.2e} away from cones")
 
@@ -271,7 +278,7 @@ def test_criterion_8_residual_decay_to_floor(shipped_runs, football_control):
     tail = resid[burn_in(len(resid)):]
     assert np.all(np.diff(tail) <= 1e-9 + 0.01 * tail[:-1]), "not monotone after burn-in"
     rp = fn.ricci_potential(football_control)
-    floor = fn.soliton_residual(football_control, rp.v)
+    floor = fn.soliton_residual(football_control, rp.v, marked_point_rows(football_control))
     # both floors sit at round-off; the absolute term is the noise scale of
     # the comparison
     assert resid[-1] <= 3.0 * floor + 1e-6
@@ -286,7 +293,7 @@ def test_criterion_8_partition_under_entropy_condition(shipped_results):
     table = sol.mu_table(shipped_divisor("unstable"))
     assert table.threshold is not None
     if mu0.value > table.threshold:
-        clusters, _ = diag.marked_point_clusters(state, 0.1)
+        clusters, _ = diag.marked_point_clusters(state, 0.1, marked_point_rows(state))
         assert clusters == [[0, 1], [2]]
         ok(8, f"mu_est(g0) = {mu0.value:.3f} > mu2 = {table.threshold:.3f}; partition {{3}} observed")
     else:  # pragma: no cover - condition held in all observed runs
@@ -343,8 +350,9 @@ def test_criterion_8_eps_halving_shrinks_gap(unstable_eps_sweep):
 
 def test_criterion_9_axisymmetric_profile_match(soliton_axis_result):
     state = soliton_axis_result["trace"].final_state
-    right = diag.compare_to_profile(state, sol.soliton_profile(0.8, 0.3), margin=0.15)
-    wrong = diag.compare_to_profile(state, sol.soliton_profile(0.9, 0.2), margin=0.15)
+    rows = marked_point_rows(state)
+    right = diag.compare_to_profile(state, sol.soliton_profile(0.8, 0.3), rows, margin=0.15)
+    wrong = diag.compare_to_profile(state, sol.soliton_profile(0.9, 0.2), rows, margin=0.15)
     assert right < 1e-2
     assert wrong >= 3.0 * right
     ok(9, f"L2 residual {right:.2e} vs {wrong:.2e} (factor {wrong / right:.1f})")

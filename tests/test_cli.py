@@ -212,7 +212,10 @@ class TestRun:
         (("--dt", "-1"), "dt and t_max must be positive"),
         (("--epsilon", "0.001", "--resolution", "64x128"), "cone core unresolved"),
         (("--resolution", "64x1"), "must sit at the poles"),
-    ], ids=["coarse_grid", "negative_dt", "unresolved_eps", "offpole_axisymmetric"])
+        (("--tmax", "inf"), "t_max must be finite"),
+        (("--dt", "nan"), "dt must be finite"),
+    ], ids=["coarse_grid", "negative_dt", "unresolved_eps", "offpole_axisymmetric",
+            "infinite_tmax", "nan_dt"])
     def test_bad_run_input_is_usage_error(self, capsys, tmp_path, flags, msg):
         cfg = tiny_config(tmp_path, Divisor([0.3, 0.4]))  # two marks on the equator
         out_dir = tmp_path / "out"
@@ -220,6 +223,13 @@ class TestRun:
         assert code == 1
         assert err.startswith("error:") and msg in err
         assert not out_dir.exists()
+
+    def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tiny_config(tmp_path, shipped_divisor("stable"), epsilon="inf")
+        code, _, err = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error:") and "eps must be finite" in err
+        assert not (tmp_path / "out").exists()
 
     def test_solver_stall_fails_run(self, capsys, tmp_path, monkeypatch):
         # from the third step on, every factor the stepper builds is off by
@@ -347,15 +357,19 @@ class TestSweep:
             assert f"unknown key {key!r}" in err
 
 
-    def test_bad_sweep_value_rejected(self, capsys, tmp_path):
+    def test_bad_sweep_value_rejected(self, capsys, tmp_path, monkeypatch):
+        # no --out: a rejected sweep must not leave its default directory
+        monkeypatch.chdir(tmp_path)
         tiny_config(tmp_path, shipped_divisor("stable"))
         sweep = tmp_path / "sweep.cfg"
         for line, msg in (("sweep_seed = 1, x", "invalid literal"),
-                          ("sweep_initial = zero, sine", "unknown initial condition")):
+                          ("sweep_initial = zero, sine", "unknown initial condition"),
+                          ("sweep_t_max = 0.1, inf", "t_max must be finite")):
             sweep.write_text(f"config = run.cfg\n{line}\n")
             code, _, err = run_cli(capsys, "sweep", "--config", str(sweep))
             assert code == 1
             assert msg in err
+            assert not (tmp_path / "sweep_out").exists()
 
 
 class TestShippedConfigs:

@@ -7,32 +7,28 @@ from conicflow import diagnostics as diag
 from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
-
-
-@pytest.fixture(scope="module")
-def football_control():
-    return diag.football_control_state(64, 128, 0.55, 0.05)
+from oracles import distances_from, marked_point_rows
 
 
 class TestCurvatureStats:
     def test_round_stationary(self, round_state):
         # no marked points: stats over (almost) the whole sphere
-        stats = diag.curvature_stats(round_state, 0.3)
+        stats = diag.curvature_stats(round_state, 0.3, marked_point_rows(round_state))
         assert stats["sup_dev_half_chi"] < 1e-10
 
     def test_exclusion_must_clear_cores(self, round_state):
         with pytest.raises(ValueError, match="2 eps"):
-            diag.curvature_stats(round_state, 0.1)
+            diag.curvature_stats(round_state, 0.1, marked_point_rows(round_state))
 
     def test_exclusion_cannot_cover_sphere(self):
         d = Divisor([0.5], [[0.3, 0.4, 0.5]])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
         with pytest.raises(ValueError, match="cover"):
-            diag.curvature_stats(st, 10.0)
+            diag.curvature_stats(st, 10.0, marked_point_rows(st))
 
     def test_football_state_near_target(self, football_control):
-        stats = diag.curvature_stats(football_control, 0.25)
+        stats = diag.curvature_stats(football_control, 0.25, marked_point_rows(football_control))
         assert stats["target_football"] == pytest.approx(0.45)
         assert stats["sup_dev_football"] < 5e-3
 
@@ -42,7 +38,7 @@ class TestClusters:
         d = Divisor([0.3, 0.3, 0.6])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
-        clusters, dmat = diag.marked_point_clusters(st, 0.1)
+        clusters, dmat = diag.marked_point_clusters(st, 0.1, marked_point_rows(st))
         assert clusters == [[0], [1], [2]]
         assert np.allclose(dmat, dmat.T)
 
@@ -50,12 +46,12 @@ class TestClusters:
         d = Divisor([0.3, 0.3, 0.6])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
-        clusters, _ = diag.marked_point_clusters(st, 100.0)
+        clusters, _ = diag.marked_point_clusters(st, 100.0, marked_point_rows(st))
         assert clusters == [[0, 1, 2]]
 
     def test_tol_validated(self, round_state):
         with pytest.raises(ValueError):
-            diag.marked_point_clusters(round_state, 0.0)
+            diag.marked_point_clusters(round_state, 0.0, marked_point_rows(round_state))
 
 
 class TestVolumeRatio:
@@ -65,7 +61,7 @@ class TestVolumeRatio:
         assert diag.model_cap_area(0.3, 0.0) == pytest.approx(math.pi * 0.09)
 
     def test_round_small_ball_near_one(self, round_state):
-        val = diag.volume_ratio(round_state, [0.0, 0.0, 1.0], 0.15)
+        val = diag.volume_ratio(round_state, distances_from(round_state, [0.0, 0.0, 1.0]), 0.15)
         assert val == pytest.approx(1.0, abs=0.08)
 
     def test_monotone_in_cone_mass(self):
@@ -80,7 +76,7 @@ class TestVolumeRatio:
             d = Divisor([beta], [[0.0, 0.0, 1.0]])
             grid = geo.build_axis_grid(8192, d)
             st = geo.make_state(geo.background_metric(grid, d, eps))
-            ball = geo.ball_volume(st, grid.marked_points[0], r)
+            ball = geo.ball_volume(st, distances_from(st, grid.marked_points[0]), r)
 
             th = np.linspace(1e-10, math.pi, 2_000_001)
             rho = (1.0 - np.cos(th) + eps * eps) ** -beta
@@ -101,13 +97,15 @@ class TestVolumeRatio:
 class TestCompareToProfile:
     def test_football_state_matches_football(self, football_control):
         prof = sol.football(0.55)
-        res = diag.compare_to_profile(football_control, prof, margin=0.2)
+        rows = marked_point_rows(football_control)
+        res = diag.compare_to_profile(football_control, prof, rows, margin=0.2)
         assert res < 5e-3
 
     def test_football_state_rejects_soliton_profile(self, football_control):
-        right = diag.compare_to_profile(football_control, sol.football(0.55), margin=0.2)
+        rows = marked_point_rows(football_control)
+        right = diag.compare_to_profile(football_control, sol.football(0.55), rows, margin=0.2)
         wrong = diag.compare_to_profile(
-            football_control, sol.soliton_profile(0.8, 0.3), margin=0.2
+            football_control, sol.soliton_profile(0.8, 0.3), rows, margin=0.2
         )
         assert wrong > 10.0 * right
 
@@ -117,7 +115,9 @@ class TestCompareToProfile:
         bg = geo.background_metric(grid, d, 0.05)
         st = geo.make_state(bg, 0.5 * np.cos(3 * grid.theta))
         st.u += math.log(2.0 / st.area())
-        res = diag.compare_to_profile(st, sol.soliton_profile(0.7, 0.4), margin=0.2)
+        res = diag.compare_to_profile(
+            st, sol.soliton_profile(0.7, 0.4), marked_point_rows(st), margin=0.2
+        )
         assert res > 0.1
 
     def test_rotation_about_axis_invariance(self):
@@ -130,7 +130,7 @@ class TestCompareToProfile:
         bg1 = geo.background_metric(grid1, d1, 0.08)
         st1 = geo.make_state(bg1)
         prof = sol.soliton_profile(0.7, 0.2)
-        r1 = diag.compare_to_profile(st1, prof, margin=0.2)
+        r1 = diag.compare_to_profile(st1, prof, marked_point_rows(st1), margin=0.2)
 
         k = 32  # quarter turn in longitude
         ang = 2 * math.pi * k / 128
@@ -141,7 +141,7 @@ class TestCompareToProfile:
         grid2 = geo.build_grid(64, 128, d2)
         bg2 = geo.background_metric(grid2, d2, 0.08)
         st2 = geo.make_state(bg2)
-        r2 = diag.compare_to_profile(st2, prof, margin=0.2)
+        r2 = diag.compare_to_profile(st2, prof, marked_point_rows(st2), margin=0.2)
         assert r1 == pytest.approx(r2, rel=1e-10)
 
 

@@ -19,7 +19,12 @@ from conftest import (
     shipped_divisor,
     skew_factors_from_third_solve,
 )
-from oracles import f_beta_rate_oracle
+from oracles import distances_from, f_beta_rate_oracle
+
+
+def one_step(state, dt):
+    """One semi-implicit step on a stepper of its own (a fresh factor)."""
+    return fl._semi_implicit_step(state, dt, fl._ImplicitStepper(state.background))
 
 
 def small_config(**overrides):
@@ -54,6 +59,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="snapshot_every"):
             small_config(snapshot_every=-1.0)
 
+    @pytest.mark.parametrize("name", ["eps", "dt", "t_max", "sample_every", "snapshot_every"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            small_config(**{name: value})
+
     def test_parse_round_trip(self, tmp_path):
         div_path = tmp_path / "d.json"
         div_path.write_text(shipped_divisor("stable").to_json())
@@ -83,7 +94,7 @@ class TestStep:
     def test_round_sphere_is_stationary(self):
         grid = geo.build_grid(32, 64)
         st = geo.make_state(geo.background_metric(grid, None, 0.1))
-        st3 = fl._semi_implicit_step(st, 0.05)
+        st3 = one_step(st, 0.05)
         assert np.abs(st3.u).max() < 1e-10
 
     def test_gauge_consistency(self):
@@ -98,7 +109,7 @@ class TestStep:
         rhs = 0.5 * bg.chi() - geo.conical_curvature(st)
         err = {}
         for dt in (1e-4, 1e-5):
-            rate = (fl._semi_implicit_step(st, dt).u - st.u) / dt
+            rate = (one_step(st, dt).u - st.u) / dt
             err[dt] = np.abs(rate - rhs).max()
         assert 9.0 <= err[1e-4] / err[1e-5] <= 11.0
         assert err[1e-4] < 2e-3 * np.abs(rhs).max()
@@ -112,7 +123,7 @@ class TestStep:
         state, _ = fl.renormalize(state)
         sups = []
         for _ in range(60):
-            state = fl._semi_implicit_step(state, 0.02)
+            state = one_step(state, 0.02)
             state, _ = fl.renormalize(state)
             sups.append(np.abs(geo.scalar_curvature(state) - 1.0).max())
         # the reaction term can push the sup up transiently; the decay is
@@ -145,7 +156,7 @@ class TestRenormalize:
         bg = geo.background_metric(grid, d, 0.1)
         state = geo.make_state(bg)
         for dt in (0.02, 0.01):
-            st = fl._semi_implicit_step(state, dt)
+            st = one_step(state, dt)
             _, c = fl.renormalize(st)
             imbalance = bg.chi() - geo.integrate(geo.conical_curvature(state), state)
             assert abs(imbalance) < 1e-12
@@ -477,9 +488,12 @@ class TestOrdering:
 
 
 class TestSharedGeodesicPass:
+    """A sample and a verdict each make one distance pass and read the
+    grid's nodes as it found them at build time: no point-to-node lookup."""
+
     @pytest.fixture()
     def counts(self, monkeypatch):
-        counts = {"edge_graph": 0, "dijkstra": 0}
+        counts = {"edge_graph": 0, "dijkstra": 0, "nearest_node": 0}
 
         def counting(name, real):
             def wrapped(*args, **kwargs):
@@ -491,6 +505,9 @@ class TestSharedGeodesicPass:
         monkeypatch.setattr(geo, "_edge_graph", counting("edge_graph", geo._edge_graph))
         monkeypatch.setattr(
             geo, "_csgraph_dijkstra", counting("dijkstra", geo._csgraph_dijkstra)
+        )
+        monkeypatch.setattr(
+            geo.SphereGrid, "nearest_node", counting("nearest_node", geo.SphereGrid.nearest_node)
         )
         return counts
 
@@ -504,8 +521,9 @@ class TestSharedGeodesicPass:
         cfg = small_config(initial="bump", seed=4)
         state = self.bumped_state(cfg)
         chow_s = min(0.0, float(geo.conical_curvature(state).min())) - 0.05
+        counts["nearest_node"] = 0  # the grid's own lookups at build time
         rec = fl._sample_record(state, fn.ricci_potential(state), chow_s, 0.0)
-        assert counts == {"edge_graph": 1, "dijkstra": 1}
+        assert counts == {"edge_graph": 1, "dijkstra": 1, "nearest_node": 0}
         assert {"d_p1_p2", "ball_ratio_p3", "diameter", "soliton_residual"} <= set(rec)
 
     def test_one_pass_per_detect_convergence(self, counts):
@@ -513,8 +531,9 @@ class TestSharedGeodesicPass:
 
         cfg = small_config(initial="bump", seed=4)
         state = self.bumped_state(cfg)
+        counts["nearest_node"] = 0  # the grid's own lookups at build time
         diag.detect_convergence(None, state, cfg.divisor)
-        assert counts == {"edge_graph": 1, "dijkstra": 1}
+        assert counts == {"edge_graph": 1, "dijkstra": 1, "nearest_node": 0}
 
 
 class TestAxisymmetric:
@@ -544,8 +563,8 @@ class TestAxisymmetric:
         s1 = geo.make_state(bg1, u0.copy())
         s2 = geo.make_state(bg2, np.repeat(u0, 64))
         for _ in range(10):
-            s1 = fl._semi_implicit_step(s1, 0.02)
-            s2 = fl._semi_implicit_step(s2, 0.02)
+            s1 = one_step(s1, 0.02)
+            s2 = one_step(s2, 0.02)
         assert np.abs(np.repeat(s1.u, 64) - s2.u).max() < 1e-8
 
     def test_football_terminal_constant_curvature(self):
@@ -557,7 +576,7 @@ class TestAxisymmetric:
         rc = geo.conical_curvature(st)
         far = np.ones(st.grid.n, bool)
         for p in st.grid.marked_points:
-            far &= geo.distances_from(st, p) > 0.25
+            far &= distances_from(st, p) > 0.25
         assert np.abs(rc[far] - 0.7).max() < 5e-3
 
     def test_soliton_orbit_entropy_near_closed_form(self, soliton_axis_result):

@@ -8,7 +8,14 @@ from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
-from oracles import f_beta_rate_oracle, laplacian, mu_estimate, w_functional
+from oracles import (
+    distances_from,
+    f_beta_rate_oracle,
+    laplacian,
+    marked_point_rows,
+    mu_estimate,
+    w_functional,
+)
 
 
 @pytest.fixture(scope="module")
@@ -44,15 +51,14 @@ class TestRicciPotential:
         resid = lhs - (rhs - rp.mean_correction)
         assert np.abs(resid).max() < 1e-8
 
-    @pytest.mark.slow
-    def test_constant_curvature_state_small_v(self):
+    def test_constant_curvature_state_small_v(self, football_control_beta06):
         # the discretization's own football: v is constant away from the
         # smoothed cores up to the eps/grid floor
-        st = diag.football_control_state(64, 128, 0.6, 0.05)
+        st = football_control_beta06
         rp = fn.ricci_potential(st)
         far = np.ones(st.grid.n, bool)
         for p in st.grid.marked_points:
-            far &= geo.distances_from(st, p) > 0.3
+            far &= distances_from(st, p) > 0.3
         v_far = rp.v[far]
         assert v_far.max() - v_far.min() < 0.02
 
@@ -135,9 +141,8 @@ class TestWFunctional:
         rhs = math.exp(-c) * w_functional(round_state, f, tau) + c * math.exp(-c) * z
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    @pytest.mark.slow
-    def test_football_profile_state_entropy(self):
-        st = diag.football_control_state(64, 128, 0.6, 0.05)
+    def test_football_profile_state_entropy(self, football_control_beta06):
+        st = football_control_beta06
         rp = fn.ricci_potential(st)
         w = fn.normalized_w(st, -rp.v)
         assert w == pytest.approx(1.0, abs=0.02)
@@ -193,21 +198,24 @@ class TestHamiltonEntropy:
 
 class TestSolitonResidual:
     def test_constant_v_zero(self, round_state):
-        assert fn.soliton_residual(round_state, np.zeros(round_state.grid.n)) == 0.0
+        rows = marked_point_rows(round_state)
+        assert fn.soliton_residual(round_state, np.zeros(round_state.grid.n), rows) == 0.0
 
     def test_conformal_killing_floor(self, round_state):
         grid = round_state.grid
         th = np.repeat(grid.theta, grid.n_lon)
         et = np.tile(grid.eta, grid.n_lat)
-        assert fn.soliton_residual(round_state, np.cos(th)) < 1e-4
-        assert fn.soliton_residual(round_state, np.sin(th) * np.cos(et)) < 1e-3
+        rows = marked_point_rows(round_state)
+        assert fn.soliton_residual(round_state, np.cos(th), rows) < 1e-4
+        assert fn.soliton_residual(round_state, np.sin(th) * np.cos(et), rows) < 1e-3
 
     def test_quadratic_in_amplitude(self, round_state):
         grid = round_state.grid
         th = np.repeat(grid.theta, grid.n_lon)
         bump = 1.5 * np.cos(th) ** 2 - 0.5
-        r1 = fn.soliton_residual(round_state, bump)
-        r2 = fn.soliton_residual(round_state, 2.0 * bump)
+        rows = marked_point_rows(round_state)
+        r1 = fn.soliton_residual(round_state, bump, rows)
+        r2 = fn.soliton_residual(round_state, 2.0 * bump, rows)
         assert r1 > 1.0
         assert r2 / r1 == pytest.approx(4.0, rel=1e-10)
 
@@ -220,11 +228,11 @@ class TestSolitonResidual:
         rp = fn.ricci_potential(st)
         spread = rp.v.max() - rp.v.min()
         assert spread > 1.0  # genuinely non-constant potential
-        r_sol = fn.soliton_residual(st, rp.v)
+        r_sol = fn.soliton_residual(st, rp.v, marked_point_rows(st))
         # a non-soliton state of comparable potential spread for scale
         st2 = geo.make_state(bg, np.cos(np.repeat(grid.theta, 1)))
         rp2 = fn.ricci_potential(st2)
-        assert r_sol < 0.05 * fn.soliton_residual(st2, rp2.v)
+        assert r_sol < 0.05 * fn.soliton_residual(st2, rp2.v, marked_point_rows(st2))
 
 
 class TestRateOracle:

@@ -7,8 +7,9 @@ import scipy.sparse as sp
 from conicflow import diagnostics as diag
 from conicflow import functionals as fn
 from conicflow import geometry as geo
+from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
-from oracles import curvature_oracle, laplacian
+from oracles import curvature_oracle, distances_from, laplacian
 
 
 def _assemble_grid_loop(n_lat, n_lon):
@@ -256,7 +257,7 @@ class TestBackground:
             grid = geo.build_grid(64, 128, d)
             bg = geo.background_metric(grid, d, eps)
             st = geo.make_state(bg)
-            dist = geo.distances_from(st, grid.marked_points[0])
+            dist = distances_from(st, grid.marked_points[0])
             mass = geo.scalar_curvature(st) * st.mass
             grid_vals.append(float(mass[dist <= delta].sum()))
             oracle_vals.append(cap_oracle(eps))
@@ -271,7 +272,7 @@ class TestBackground:
         d = Divisor([0.5], [[0.0, 0.0, 1.0]])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
-        dist = geo.distances_from(st, grid.marked_points[0])
+        dist = distances_from(st, grid.marked_points[0])
         mass = geo.scalar_curvature(st) * st.mass
         assert float(mass[dist <= 0.3].sum()) == pytest.approx(0.5, abs=0.05)
 
@@ -313,7 +314,7 @@ class TestIntegrate:
 
 
 def distance(state, a, b):
-    return float(geo.distances_from(state, a)[state.grid.nearest_node(b)])
+    return float(distances_from(state, a)[state.grid.nearest_node(b)])
 
 
 class TestDistances:
@@ -340,7 +341,7 @@ class TestDistances:
             round_state.background, 0.5 * rng.standard_normal(round_state.grid.n)
         )
         nodes = rng.integers(0, st.grid.n, 9)
-        d = {n: geo.distances_from(st, int(n)) for n in nodes}
+        d = {n: geo.geodesic_rows(st, [int(n)])[int(n)] for n in nodes}
         for a in nodes:
             for b in nodes:
                 for c in nodes:
@@ -353,8 +354,8 @@ class TestDistances:
         bump = np.abs(rng.standard_normal(grid.n)) * 0.2
         st1 = geo.make_state(round_state.background, u)
         st2 = geo.make_state(round_state.background, u + bump)
-        d1 = geo.distances_from(st1, 0)
-        d2 = geo.distances_from(st2, 0)
+        d1 = geo.geodesic_rows(st1, [0])[0]
+        d2 = geo.geodesic_rows(st2, [0])[0]
         assert np.all(d2 >= d1 - 1e-12)
 
 
@@ -375,68 +376,104 @@ def _bumped_axis_state():
 
 @pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])
 class TestSharedRows:
-    """One multi-source pass gives exactly what one-source calls give."""
+    """Each consumer of one multi-source pass gives exactly what it gives
+    on the rows of one-source ``geodesic_rows(st, [n])`` calls."""
+
+    @staticmethod
+    def one_source_rows(st, nodes):
+        return {n: geo.geodesic_rows(st, [n])[n] for n in nodes}
 
     def test_rows_equal_one_source_rows(self, make_state):
         st = make_state()
-        sources = geo.diameter_sources(st)
+        sources = st.grid.diameter_nodes
         rows = geo.geodesic_rows(st, sources)
         assert list(rows) == sources
+        one = self.one_source_rows(st, sources)
         for s in sources:
-            assert np.array_equal(rows[s], geo.distances_from(st, s))
+            assert np.array_equal(rows[s], one[s])
 
     def test_monitors_equal_one_source_path(self, make_state):
         st = make_state()
-        rows = geo.geodesic_rows(st, geo.diameter_sources(st))
-        pts = st.grid.marked_points
-        one = [geo.distances_from(st, p) for p in pts]
-        nodes = [st.grid.nearest_node(p) for p in pts]
-        d = np.array([[one[i][nodes[j]] for j in range(len(pts))] for i in range(len(pts))])
+        grid = st.grid
+        rows = geo.geodesic_rows(st, grid.diameter_nodes)
+        one = self.one_source_rows(st, grid.diameter_nodes)
+        nodes = grid.marked_nodes
+        d = np.array([[one[a][b] for b in nodes] for a in nodes])
         assert np.array_equal(geo.pairwise_marked_distances(st, rows), 0.5 * (d + d.T))
-        for p, row in zip(pts, one):
+        assert np.array_equal(geo.pairwise_marked_distances(st, one), 0.5 * (d + d.T))
+        for n in nodes:
             for r in (0.1, 0.2, 0.5):
-                assert geo.ball_volume(st, p, r, rows) == float(np.sum(st.mass[row <= r]))
-        diameter = max(
-            float(geo.distances_from(st, s).max()) for s in geo.diameter_sources(st)
-        )
-        assert geo.diameter_estimate(st, rows=rows) == diameter
+                want = float(np.sum(st.mass[one[n] <= r]))
+                assert geo.ball_volume(st, rows[n], r) == want
+                assert diag.volume_ratio(st, rows[n], r) == diag.volume_ratio(st, one[n], r)
+        diameter = max(float(one[s].max()) for s in grid.diameter_nodes)
+        assert geo.diameter_estimate(st, rows) == diameter
+        assert geo.diameter_estimate(st, one) == diameter
 
     def test_core_masks_equal_one_source_path(self, make_state):
         st = make_state()
-        rows = geo.geodesic_rows(st, geo.diameter_sources(st))
-        one = {s: geo.distances_from(st, s) for s in rows}
+        rows = geo.geodesic_rows(st, st.grid.diameter_nodes)
+        one = self.one_source_rows(st, st.grid.marked_nodes)
         v = fn.ricci_potential(st).v
-        assert fn.soliton_residual(st, v, rows=rows) == fn.soliton_residual(st, v, rows=one)
-        assert fn.soliton_residual(st, v, rows=rows) == fn.soliton_residual(st, v)
+        assert fn.soliton_residual(st, v, rows) == fn.soliton_residual(st, v, one)
         assert diag.curvature_stats(st, 0.25, rows) == diag.curvature_stats(st, 0.25, one)
-
-    def test_consumers_make_one_pass_without_rows(self, make_state, monkeypatch):
-        st = make_state()
-        calls = []
-        real = geo._csgraph_dijkstra
-        monkeypatch.setattr(
-            geo, "_csgraph_dijkstra", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        assert diag.marked_point_clusters(st, 0.1, rows)[0] == (
+            diag.marked_point_clusters(st, 0.1, one)[0]
         )
-        geo.pairwise_marked_distances(st)
-        geo.diameter_estimate(st)
-        fn.soliton_residual(st)
-        assert len(calls) == 3
+        prof = sol.soliton_profile(0.6, 0.3)
+        assert diag.compare_to_profile(st, prof, rows) == diag.compare_to_profile(st, prof, one)
+
+
+def _on_node_32x64():
+    """The position of node (8, 17) of the 32x64 grid."""
+    grid = geo.build_grid(32, 64)
+    return grid.positions()[grid.node_index(8, 17)]
+
+
+class TestMarkedNodes:
+    """A grid finds its marked nodes once, after nudging: each is the
+    nearest node of the (possibly nudged) marked point."""
+
+    @pytest.mark.parametrize(
+        "build, nudged",
+        [
+            # the north-pole point moves half a row south
+            (lambda: geo.build_grid(32, 64, Divisor([0.3, 0.4], [[0, 0, 1.0], [1.0, 0, 0]])), [0]),
+            # the on-node point moves half a cell in longitude
+            (lambda: geo.build_grid(32, 64, Divisor([0.3, 0.4], [[1.0, 0, 0], _on_node_32x64()])),
+             [1]),
+            (lambda: geo.build_axis_grid(64, Divisor([0.3, 0.6], [[0, 0, 1.0], [0, 0, -1.0]])), []),
+        ],
+        ids=["pole_nudged", "on_node_nudged", "axis"],
+    )
+    def test_marked_nodes_are_nearest_nodes(self, build, nudged):
+        grid = build()
+        assert [i for i, _ in grid.nudges] == nudged
+        want = [grid.nearest_node(p) for p in grid.marked_points]
+        assert grid.marked_nodes == want
+        assert len(set(want)) == grid.divisor.k
+        axes = [grid.nearest_node(p) for p in geo.AXIS_POINTS]
+        assert grid.diameter_nodes == list(dict.fromkeys(axes + want))
 
 
 class TestBallVolume:
-    def test_zero_radius(self, round_state):
-        assert geo.ball_volume(round_state, [0, 0, 1.0], 0.0) == 0.0
+    @pytest.fixture()
+    def north(self, round_state):
+        return distances_from(round_state, [0, 0, 1.0])
 
-    def test_whole_sphere(self, round_state):
-        assert geo.ball_volume(round_state, [0, 0, 1.0], 10.0) == pytest.approx(2.0, abs=1e-10)
+    def test_zero_radius(self, round_state, north):
+        assert geo.ball_volume(round_state, north, 0.0) == 0.0
 
-    def test_hemisphere(self, round_state):
+    def test_whole_sphere(self, round_state, north):
+        assert geo.ball_volume(round_state, north, 10.0) == pytest.approx(2.0, abs=1e-10)
+
+    def test_hemisphere(self, round_state, north):
         r = 0.5 * math.sqrt(math.pi / 2.0)
-        assert geo.ball_volume(round_state, [0, 0, 1.0], r) == pytest.approx(1.0, abs=0.05)
+        assert geo.ball_volume(round_state, north, r) == pytest.approx(1.0, abs=0.05)
 
-    def test_negative_radius_rejected(self, round_state):
+    def test_negative_radius_rejected(self, round_state, north):
         with pytest.raises(ValueError):
-            geo.ball_volume(round_state, [0, 0, 1.0], -0.1)
+            geo.ball_volume(round_state, north, -0.1)
 
 
 class TestSerialization:
