@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import __version__
 from . import diagnostics as diag
@@ -155,24 +154,20 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+#: each run flag and the config key it sets (``--resolution`` sets two)
+_FLAG_KEYS = {"epsilon": "epsilon", "tmax": "t_max", "dt": "dt", "seed": "seed"}
+
+
 def _apply_overrides(config: fl.FlowConfig, args) -> fl.FlowConfig:
-    kw = {}
+    values = {key: getattr(args, flag) for flag, key in _FLAG_KEYS.items()
+              if getattr(args, flag) is not None}
     if args.resolution:
         try:
-            nlat, nlon = (int(x) for x in args.resolution.lower().split("x"))
+            values["n_lat"], values["n_lon"] = (int(x) for x in args.resolution.lower().split("x"))
         except ValueError as exc:
             raise UsageError("--resolution expects NLATxNLON, e.g. 64x128") from exc
-        kw["n_lat"], kw["n_lon"] = nlat, nlon
-    if args.epsilon is not None:
-        kw["eps"] = args.epsilon
-    if args.tmax is not None:
-        kw["t_max"] = args.tmax
-    if args.dt is not None:
-        kw["dt"] = args.dt
-    if args.seed is not None:
-        kw["seed"] = args.seed
     try:
-        return replace(config, **kw)
+        return fl.override(config, values)
     except ValueError as exc:
         raise UsageError(f"bad override: {exc}") from exc
 
@@ -251,37 +246,30 @@ def cmd_run(args) -> int:
 # sweep
 # ----------------------------------------------------------------------
 
+def _sweep_value(key: str, val: str):
+    if key == "config":
+        return val
+    if key.startswith("sweep_") and key[6:] in fl.CONFIG_KEYS.keys() - {"divisor"}:
+        return [fl.parse_config_value(key[6:], v.strip())[1] for v in val.split(",") if v.strip()]
+    raise ValueError(f"unknown key {key!r}")
+
+
 def parse_sweep_file(path: str):
     """Sweep schema: a base ``config = path`` line plus ``sweep_<key> = v1, v2``
     lists, for any run-config key except ``divisor``; the cartesian product
     over all sweep lists defines the runs."""
-    base = None
-    lists = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if not _:
-                raise UsageError(f"sweep line {lineno}: expected 'key = value'")
-            if key == "config":
-                base = val if os.path.isabs(val) else os.path.join(
-                    os.path.dirname(os.path.abspath(path)), val)
-            elif key.startswith("sweep_") and key[6:] in fl.CONFIG_KEYS.keys() - {"divisor"}:
-                items = [v.strip() for v in val.split(",") if v.strip()]
-                try:
-                    lists[key[6:]] = [fl.parse_config_value(key[6:], v)[1] for v in items]
-                except ValueError as exc:
-                    raise UsageError(f"sweep line {lineno}: {exc}") from exc
-            else:
-                raise UsageError(f"sweep line {lineno}: unknown key {key!r}")
-    if base is None:
+    try:
+        with open(path) as fh:
+            items = fl.read_key_values(fh.read(), "sweep", _sweep_value, "config",
+                                       os.path.dirname(os.path.abspath(path)))
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"bad sweep file {path!r}: {exc}") from exc
+    if "config" not in items:
         raise UsageError("sweep file is missing the 'config' key")
+    lists = {key[6:]: values for key, values in items.items() if key != "config"}
     if not lists:
         raise UsageError("empty sweep: no sweep_* lists given")
-    return base, lists
+    return items["config"], lists
 
 
 def _sweep_one(payload):
@@ -292,7 +280,7 @@ def _sweep_one(payload):
         solver = result["manifest"]["solver"]
         row = {
             "run": tag, "status": trace.status, "verdict": report.verdict,
-            **{k: v for k, v in overrides.items()},
+            **overrides,
             "t_end": float(trace.times[-1]),
             "sup_dev_half_chi": report.curvature["sup_dev_half_chi"],
             "w_normalized": float(trace["w_normalized"][-1]),
@@ -319,9 +307,8 @@ def cmd_sweep(args) -> int:
     for combo in itertools.product(*(lists[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         tag = "run_" + "_".join(f"{k}{v}" for k, v in overrides.items())
-        kw = {fl.CONFIG_KEYS[k][0]: v for k, v in overrides.items()}
         try:
-            config = replace(base_config, **kw)
+            config = fl.override(base_config, overrides)
         except ValueError as exc:
             raise UsageError(f"bad sweep values {overrides}: {exc}") from exc
         jobs.append((config, overrides, os.path.join(out_root, tag), tag))
@@ -353,13 +340,9 @@ def _read_run(run_dir: str):
     ``u_final.csv`` must match the SHA-256 sums in its manifest."""
     with open(os.path.join(run_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
-    cfgd, outputs = manifest["config"], manifest["outputs"]
-    div = Divisor(cfgd["divisor"]["weights"], cfgd["divisor"]["positions"])
-    if cfgd["n_lon"] == 1:
-        grid = geo.build_axis_grid(cfgd["n_lat"], div)
-    else:
-        grid = geo.build_grid(cfgd["n_lat"], cfgd["n_lon"], div)
-    bg = geo.background_metric(grid, div, cfgd["eps"])
+    config, outputs = fl.FlowConfig.from_dict(manifest["config"]), manifest["outputs"]
+    grid = fl.build_run_grid(config)
+    bg = geo.background_metric(grid, config.divisor, config.eps)
     u_name = outputs["final_snapshot"]
     u = geo.load_field(os.path.join(run_dir, u_name), grid.n)
     trace_path = os.path.join(run_dir, outputs["trace"])

@@ -32,7 +32,7 @@ import ctypes
 import math
 import os
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,6 +87,11 @@ class FlowConfig:
             raise ValueError("sample_every must be positive")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be nonnegative (0 turns snapshots off)")
+        # the run loop counts its steps, samples and snapshots in whole steps
+        for name in ("t_max", "sample_every", "snapshot_every"):
+            steps = getattr(self, name) / self.dt
+            if not math.isfinite(steps):
+                raise ValueError(f"{name} / dt must be finite, got {steps}")
         if self.initial not in INITIALS:
             raise ValueError(f"unknown initial condition {self.initial!r}")
 
@@ -103,18 +108,52 @@ class FlowConfig:
         } if self.divisor is not None else None
         return d
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "FlowConfig":
+        """Inverse of :meth:`to_dict`, checked as every config is; a missing
+        field is a KeyError."""
+        kw = {f.name: d[f.name] for f in fields(cls)}
+        if kw["divisor"] is not None:
+            kw["divisor"] = Divisor(kw["divisor"]["weights"], kw["divisor"]["positions"])
+        return cls(**kw)
+
 
 _FIELD_TYPES = typing.get_type_hints(FlowConfig)
 
 #: config file schema: ``key = value`` per line, '#' comments, one key per
 #: FlowConfig field and typed by it; the key ``epsilon`` sets the field
-#: ``eps``.  Maps each key to (field name, type).  Unknown keys are hard
-#: errors.  ``divisor`` is a path to a divisor JSON file, resolved relative
-#: to the config file.
+#: ``eps``.  Maps each key to (field name, type).  Unknown and repeated keys
+#: are hard errors.  ``divisor`` is a path to a divisor JSON file, resolved
+#: relative to the config file.
 CONFIG_KEYS = {
     ("epsilon" if f.name == "eps" else f.name): (f.name, _FIELD_TYPES[f.name])
     for f in fields(FlowConfig)
 }
+
+
+def read_key_values(text: str, kind: str, parse, path_key: str, base_dir: str = ".") -> dict:
+    """The ``key = value`` lines of a config or sweep file, as a dict from
+    each key to ``parse(key, value)`` in file order.  '#' starts a comment.
+    A line without '=', a repeated key and a ValueError of ``parse`` raise
+    ValueError, named by ``kind`` and line.  The value of ``path_key`` is a
+    path, resolved relative to ``base_dir``, the directory of the file."""
+    out = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, val = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise ValueError("expected 'key = value'")
+            if key in out:
+                raise ValueError(f"duplicate key {key!r}")
+            if key == path_key and not os.path.isabs(val):
+                val = os.path.join(base_dir, val)
+            out[key] = parse(key, val)
+        except ValueError as exc:
+            raise ValueError(f"{kind} line {lineno}: {exc}") from exc
+    return out
 
 
 def parse_config_value(key: str, text: str):
@@ -130,29 +169,17 @@ def parse_config_value(key: str, text: str):
     return name, text if typ is Divisor else typ(text)
 
 
+def override(config: FlowConfig, values: dict) -> FlowConfig:
+    """``config`` with the typed ``values`` of some config keys set, checked
+    again as a new config."""
+    return replace(config, **{CONFIG_KEYS[k][0]: v for k, v in values.items()})
+
+
 def parse_config_text(text: str, base_dir: str = ".") -> FlowConfig:
-    raw = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        try:
-            name, value = parse_config_value(key, val)
-        except ValueError as exc:
-            raise ValueError(f"config line {lineno}: {exc}") from exc
-        if name in raw:
-            raise ValueError(f"config line {lineno}: duplicate key {key!r}")
-        raw[name] = value
+    raw = dict(read_key_values(text, "config", parse_config_value, "divisor", base_dir).values())
     if "divisor" not in raw:
         raise ValueError("config is missing the 'divisor' key")
-    path = raw.pop("divisor")
-    if not os.path.isabs(path):
-        path = os.path.join(base_dir, path)
-    with open(path) as fh:
+    with open(raw.pop("divisor")) as fh:
         divisor = Divisor.from_json(fh.read())
     return FlowConfig(divisor=divisor, **raw)
 
@@ -160,6 +187,13 @@ def parse_config_text(text: str, base_dir: str = ".") -> FlowConfig:
 def parse_config_file(path: str) -> FlowConfig:
     with open(path) as fh:
         return parse_config_text(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
+
+
+def build_run_grid(config: FlowConfig) -> geo.SphereGrid:
+    """The grid of a run: the 1-D reduction in colatitude when ``n_lon == 1``."""
+    if config.axisymmetric:
+        return geo.build_axis_grid(config.n_lat, config.divisor)
+    return geo.build_grid(config.n_lat, config.n_lon, config.divisor)
 
 
 # ----------------------------------------------------------------------
@@ -176,7 +210,7 @@ class _ImplicitStepper:
 
     The diagonal d = mass / (dt e^-u) drifts slowly along the flow, so one
     factorization serves many steps as a preconditioner for iterative
-    refinement; it is rebuilt when the drift or the refinement stalls.
+    refinement; it is rebuilt when the refinement stalls.
     SuperLU orders the columns by the grid's ``ordering``; on a 2-D grid
     minimum degree about halves the cost of each back-solve against COLAMD.
 
@@ -228,7 +262,6 @@ class _ImplicitStepper:
         self._diag = np.flatnonzero(self.A.indices == col)
         self._L_diag = self.A.data[self._diag].copy()
         self.lu = None
-        self.d_ref = None
         self.floor_above_target = False
         self.factorizations = 0
         self.stall_refactorizations = 0
@@ -246,7 +279,6 @@ class _ImplicitStepper:
         if _malloc_trim is not None:
             _malloc_trim(0)
         self.lu = spla.splu(self.A, permc_spec=self._permc_spec)
-        self.d_ref = d
         self.factorizations += 1
 
     def _backsolve(self, b):
@@ -271,7 +303,7 @@ class _ImplicitStepper:
         L = self.bg.grid.L
         norm = float(np.linalg.norm(rhs)) or 1.0
         if not self.floor_above_target:
-            fresh = self.lu is None or np.max(np.abs(np.log(d / self.d_ref))) > 0.3
+            fresh = self.lu is None
             if fresh:
                 self._factor(d)
             x = self._backsolve(rhs)
@@ -500,8 +532,4 @@ def run(config: FlowConfig) -> FlowTrace:
     the 2-D one, so axisymmetric data gives the same monitors as the 2-D
     grid up to round-off.
     """
-    if config.axisymmetric:
-        grid = geo.build_axis_grid(config.n_lat, config.divisor)
-    else:
-        grid = geo.build_grid(config.n_lat, config.n_lon, config.divisor)
-    return _run_loop(config, grid)
+    return _run_loop(config, build_run_grid(config))

@@ -189,25 +189,14 @@ AXIS_POINTS = ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -
 def _place_marked_points(grid: SphereGrid, points: np.ndarray) -> None:
     """Set the marked points and the nodes the distance monitors read: each
     marked point's nearest node, and the diameter's sources (the axis nodes
-    and the marked nodes, without repeats)."""
+    and the marked nodes, without repeats).  Two marked points with one
+    nearest node are rejected: the grid could not tell them apart."""
     grid.marked_points = points
     grid.marked_nodes = [grid.nearest_node(p) for p in points]
+    if len(set(grid.marked_nodes)) != len(grid.marked_nodes):
+        raise ValueError("two marked points fall inside one grid cell (share a nearest node)")
     axes = [grid.nearest_node(p) for p in AXIS_POINTS]
     grid.diameter_nodes = list(dict.fromkeys(axes + grid.marked_nodes))
-
-
-def _check_marked_points(grid: SphereGrid, divisor: Divisor) -> None:
-    if divisor is None or divisor.k == 0:
-        return
-    h_eta = TWO_PI / grid.n_lon
-    cells = []
-    for p in grid.marked_points:
-        theta, eta = angles_from_vec(p)
-        i = int(np.clip(theta // grid.h_theta, 0, grid.n_lat - 1))
-        j = int(eta // h_eta) % grid.n_lon
-        cells.append((i, j))
-    if len(set(cells)) != len(cells):
-        raise ValueError("two marked points fall inside one grid cell")
 
 
 def build_grid(n_lat: int, n_lon: int, divisor: Divisor = None) -> SphereGrid:
@@ -215,8 +204,8 @@ def build_grid(n_lat: int, n_lon: int, divisor: Divisor = None) -> SphereGrid:
 
     A marked point exactly at a pole is moved to the adjacent cell-center
     latitude (offset under one cell, recorded); a point coinciding with a
-    node is shifted by half a cell in longitude.  Two marked points inside
-    one cell are rejected.
+    node is shifted by half a cell in longitude.  Two marked points with one
+    nearest node are rejected.
     """
     if n_lat < MIN_N_LAT or n_lon < MIN_N_LON:
         raise ValueError(
@@ -243,7 +232,6 @@ def build_grid(n_lat: int, n_lon: int, divisor: Divisor = None) -> SphereGrid:
     else:
         pts = np.zeros((0, 3))
     _place_marked_points(grid, pts)
-    _check_marked_points(grid, divisor)
     return grid
 
 

@@ -82,6 +82,12 @@ class Divisor:
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "positions", pos)
 
+    def __eq__(self, other):
+        # the generated comparison would take the truth value of an array
+        if not isinstance(other, Divisor):
+            return NotImplemented
+        return self.weights == other.weights and np.array_equal(self.positions, other.positions)
+
     @property
     def k(self) -> int:
         return len(self.weights)
@@ -176,17 +182,11 @@ def classify_stability(d: Divisor, tol: float = SEMISTABLE_TOL) -> StabilityClas
     if d.k < 1:
         raise ValueError("classification needs at least one marked point")
     _warn_small_k(d, "classify_stability")
-    total = d.total()
-    bmax = d.beta_max
     if d.exact:
-        if total >= 2 or 2 * bmax < total:
-            return StabilityClass.STABLE
-        if 2 * bmax == total:
-            return StabilityClass.SEMI_STABLE
-        return StabilityClass.UNSTABLE
-    total = float(total)
-    gap = 2.0 * float(bmax) - total
-    if total >= 2.0 or gap < -tol:
+        tol = 0
+    total = d.total()
+    gap = 2 * d.beta_max - total
+    if total >= 2 or gap < -tol:
         return StabilityClass.STABLE
     if abs(gap) <= tol:
         return StabilityClass.SEMI_STABLE

@@ -214,8 +214,9 @@ class TestRun:
         (("--resolution", "64x1"), "must sit at the poles"),
         (("--tmax", "inf"), "t_max must be finite"),
         (("--dt", "nan"), "dt must be finite"),
+        (("--tmax", "1e300", "--dt", "1e-10"), "t_max / dt must be finite"),
     ], ids=["coarse_grid", "negative_dt", "unresolved_eps", "offpole_axisymmetric",
-            "infinite_tmax", "nan_dt"])
+            "infinite_tmax", "nan_dt", "overflowing_step_count"])
     def test_bad_run_input_is_usage_error(self, capsys, tmp_path, flags, msg):
         cfg = tiny_config(tmp_path, Divisor([0.3, 0.4]))  # two marks on the equator
         out_dir = tmp_path / "out"
@@ -279,8 +280,13 @@ class TestReport:
         assert "2043 values, expected 2048" in err
 
 
-    @pytest.mark.parametrize("damage", ["truncated", "not_an_object", "missing_config"])
-    def test_report_bad_manifest_is_usage_error(self, capsys, tmp_path, damage):
+    @pytest.mark.parametrize("damage, msg", [
+        ("truncated", "cannot read run"),
+        ("not_an_object", "cannot read run"),
+        ("missing_config", "lacks the key 'config'"),
+        ("negative_dt", "dt and t_max must be positive"),
+    ], ids=["truncated", "not_an_object", "missing_config", "negative_dt"])
+    def test_report_bad_manifest_is_usage_error(self, capsys, tmp_path, damage, msg):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"), t_max=0.2)
         out_dir = tmp_path / "out"
         run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir))
@@ -291,11 +297,14 @@ class TestReport:
             man.write_text("[1, 2]")
         else:
             data = json.loads(man.read_text())
-            del data["config"]
+            if damage == "missing_config":
+                del data["config"]
+            else:
+                data["config"]["dt"] = -1
             man.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, "report", str(out_dir))
         assert code == 1
-        assert err.startswith("error:")
+        assert err.startswith("error:") and msg in err
 
     @pytest.mark.parametrize("name", ["u_final.csv", "trace.csv"])
     def test_report_checks_output_hashes(self, capsys, tmp_path, name):
@@ -364,7 +373,10 @@ class TestSweep:
         sweep = tmp_path / "sweep.cfg"
         for line, msg in (("sweep_seed = 1, x", "invalid literal"),
                           ("sweep_initial = zero, sine", "unknown initial condition"),
-                          ("sweep_t_max = 0.1, inf", "t_max must be finite")):
+                          ("sweep_t_max = 0.1, inf", "t_max must be finite"),
+                          ("sweep_dt = 1e-310", "t_max / dt must be finite"),
+                          ("sweep_dt = 0.5\nsweep_dt = 0.25", "line 3: duplicate key 'sweep_dt'"),
+                          ("config = run.cfg\nsweep_seed = 1", "line 2: duplicate key 'config'")):
             sweep.write_text(f"config = run.cfg\n{line}\n")
             code, _, err = run_cli(capsys, "sweep", "--config", str(sweep))
             assert code == 1
@@ -382,6 +394,8 @@ class TestShippedConfigs:
             cfg = fl.parse_config_file(os.path.join(base, f"{name}.cfg"))
             assert cfg.divisor.k >= 2
             assert cfg.axisymmetric == (name == "soliton_axis")
+            # a manifest holds the config as JSON; reading it back is exact
+            assert fl.FlowConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 class TestProfilesExport:

@@ -65,6 +65,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             small_config(**{name: value})
 
+    @pytest.mark.parametrize("name", ["t_max", "sample_every", "snapshot_every"])
+    def test_overflowing_step_count_rejected(self, name):
+        # each value is finite, but the run loop's step count is not
+        with pytest.raises(ValueError, match=f"{name} / dt must be finite"):
+            small_config(**{name: 1e300, "dt": 1e-10})
+
     def test_parse_round_trip(self, tmp_path):
         div_path = tmp_path / "d.json"
         div_path.write_text(shipped_divisor("stable").to_json())
@@ -295,10 +301,7 @@ class TestImplicitStepper:
         """Step cfg's flow n_steps times, checking every solve against the
         oracle; returns (factorizations, back-solves, floor rule fired) per
         solve."""
-        if cfg.axisymmetric:
-            grid = geo.build_axis_grid(cfg.n_lat, cfg.divisor)
-        else:
-            grid = geo.build_grid(cfg.n_lat, cfg.n_lon, cfg.divisor)
+        grid = fl.build_run_grid(cfg)
         bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
         state, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, grid, bg)))
         stepper = fl._ImplicitStepper(bg)

@@ -120,6 +120,26 @@ class TestGrid:
         with pytest.raises(ValueError, match="one grid cell"):
             geo.build_grid(64, 128, Divisor([0.3, 0.4], [p1, p2]))
 
+    @staticmethod
+    def equator_pair_16x32(*offsets):
+        """Two equatorial points at the given longitudes (in cells) and a
+        third at the north pole."""
+        h_eta = 2 * math.pi / 32
+        pts = [geo.vec_from_angles(math.pi / 2, o * h_eta) for o in offsets]
+        return Divisor([0.3, 0.4, 0.5], pts + [[0, 0, 1.0]])
+
+    def test_two_points_with_one_nearest_node_rejected(self):
+        # on either side of a node's meridian: two longitude cells, one node
+        with pytest.raises(ValueError, match="one grid cell"):
+            geo.build_grid(16, 32, self.equator_pair_16x32(-0.2, 0.2))
+
+    def test_two_points_with_two_nearest_nodes_accepted(self):
+        # one longitude cell, but each point nearer to its own node
+        grid = geo.build_grid(16, 32, self.equator_pair_16x32(0.3, 0.7))
+        assert grid.nudges == [(2, grid.h_theta / 2)]  # only the pole point moves
+        assert grid.marked_nodes[1] == grid.marked_nodes[0] + 1
+        assert len(set(grid.marked_nodes)) == 3
+
     def test_axis_grid_rejects_nonpolar(self):
         with pytest.raises(ValueError, match="poles"):
             geo.build_axis_grid(64, Divisor([0.5], [[1.0, 0.0, 0.0]]))
