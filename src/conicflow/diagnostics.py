@@ -62,8 +62,8 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows: dict) 
         raise ValueError("exclusion balls cover the whole sphere")
     # statistics are taken on the smooth-part curvature: the full R keeps a
     # cone-bump tail ~ eps^2/dist^2 that is regularization, not geometry
-    R = geo.conical_curvature(state)[mask]
-    R_full = geo.scalar_curvature(state)[mask]
+    R = state.conical_curvature[mask]
+    R_full = state.scalar_curvature[mask]
     chi = state.background.chi()
     bmax = state.background.beta_max()
     return {
@@ -145,7 +145,7 @@ def curvature_area_curve(state: geo.MetricState, dist: np.ndarray):
     of the punctured surface."""
     order = np.argsort(dist)
     mass = state.mass[order]
-    R = geo.conical_curvature(state)[order]
+    R = state.conical_curvature[order]
     a = np.cumsum(mass) - 0.5 * mass
     bins = PROFILE_BINS
     edges = np.linspace(0.0, 2.0, bins + 1)
@@ -208,8 +208,7 @@ def profile_state(
         if b > 0.0:
             rho *= (s / (s + e2)) ** b
     state = geo.make_state(background, np.log(rho) - background.log_rho)
-    state.u += math.log(2.0 / state.area())
-    return state
+    return geo.make_state(background, state.u + math.log(2.0 / state.area()))
 
 
 def football_control_state(

@@ -78,6 +78,8 @@ class FlowConfig:
     auto_stop: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.divisor, Divisor):
+            raise ValueError(f"divisor must be a Divisor, got {self.divisor!r}")
         for name in ("eps", "dt", "t_max", "sample_every", "snapshot_every"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -105,15 +107,16 @@ class FlowConfig:
         d["divisor"] = {
             "weights": [float(w) for w in self.divisor.weights],
             "positions": self.divisor.positions.tolist(),
-        } if self.divisor is not None else None
+        }
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FlowConfig":
         """Inverse of :meth:`to_dict`, checked as every config is; a missing
-        field is a KeyError."""
+        field is a KeyError, and a divisor that is not an object is left for
+        the check to reject."""
         kw = {f.name: d[f.name] for f in fields(cls)}
-        if kw["divisor"] is not None:
+        if isinstance(kw["divisor"], dict):
             kw["divisor"] = Divisor(kw["divisor"]["weights"], kw["divisor"]["positions"])
         return cls(**kw)
 
@@ -395,8 +398,7 @@ def _sample_record(state, rp, chow_s, drift):
     # marked nodes, serves every distance monitor of this sample
     grid = state.grid
     rows = geo.geodesic_rows(state, grid.diameter_nodes)
-    R = geo.scalar_curvature(state)
-    r_cone = geo.conical_curvature(state)
+    R, r_cone = state.scalar_curvature, state.conical_curvature
     rec = {
         "area": state.area(),
         "total_curvature": geo.integrate(R, state),
@@ -431,7 +433,7 @@ def _initial_field(config: FlowConfig, grid: geo.SphereGrid, bg=None) -> np.ndar
         from . import soliton as sol
 
         div = config.divisor
-        if div is None or div.k not in (1, 2):
+        if div.k not in (1, 2):
             raise ValueError("initial = soliton needs a 1- or 2-point divisor")
         w = div.weights_float()
         if div.k == 2:
@@ -457,10 +459,9 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
     state = geo.make_state(bg, _initial_field(config, grid, bg))
     state, _ = renormalize(state)
 
-    r0 = geo.conical_curvature(state)
     # Chow's shift is only needed when the smooth-part curvature is not
     # already positive; s = 0 solves the shift ODE and leaves N unshifted
-    rmin0 = float(r0.min())
+    rmin0 = float(state.conical_curvature.min())
     s0 = 0.0 if rmin0 > 0.05 else min(-0.05, rmin0 - 0.05)
     half_chi = 0.5 * bg.chi()
 

@@ -20,14 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .geometry import (
-    BackgroundMetric,
-    MetricState,
-    conical_curvature,
-    dirichlet_energy,
-    grad_sq_field,
-    integrate,
-)
+from .geometry import BackgroundMetric, MetricState, dirichlet_energy, grad_sq_field, integrate
 
 
 # ----------------------------------------------------------------------
@@ -64,8 +57,7 @@ class RicciPotential:
 
 def ricci_potential(state: MetricState) -> RicciPotential:
     bg = state.background
-    R = conical_curvature(state)
-    rhs = R - 0.5 * bg.chi()
+    rhs = state.conical_curvature - 0.5 * bg.chi()
     v, corr = _poisson(state.grid, state.mass, rhs)
     v = v + math.log(integrate(np.exp(-v), state) / 2.0)
     resid = abs(integrate(np.exp(-v), state) - 2.0)
@@ -100,8 +92,9 @@ def h_background(bg: BackgroundMetric) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def f_beta(state_or_phi, background: BackgroundMetric = None) -> float:
-    """Ding-type energy with the conical background as reference metric.
+def f_beta(state: MetricState) -> float:
+    """Ding-type energy with the conical background as reference metric,
+    at the state's potential (:func:`recover_potential`).
 
     F(phi) = E(phi)/4 - (1/2) int phi dg_bg
              - (2/chi) log int e^(-chi phi / 2 + h) dg_bg,
@@ -109,12 +102,11 @@ def f_beta(state_or_phi, background: BackgroundMetric = None) -> float:
     where E is the calibrated Dirichlet energy.  Decreases along the flow;
     invariant under phi -> phi + const.
     """
-    if isinstance(state_or_phi, MetricState):
-        phi, bg = recover_potential(state_or_phi), state_or_phi.background
-    elif background is None:
-        raise ValueError("a background is required when passing a raw potential")
-    else:
-        phi, bg = np.asarray(state_or_phi, dtype=float), background
+    return _f_of_potential(recover_potential(state), state.background)
+
+
+def _f_of_potential(phi: np.ndarray, bg: BackgroundMetric) -> float:
+    """F at the potential ``phi`` relative to the background ``bg``."""
     chi = bg.chi()
     h = h_background(bg)
     e = dirichlet_energy(phi, phi, bg.grid)
@@ -138,9 +130,8 @@ def normalized_w(state: MetricState, f) -> float:
     chi = state.background.chi()
     shift = math.log(integrate(np.exp(-f), state) / 2.0)
     f = f + shift
-    R = conical_curvature(state)
     g2 = grad_sq_field(f, state)
-    return integrate(((R + g2) / chi + f) * np.exp(-f), state)
+    return integrate(((state.conical_curvature + g2) / chi + f) * np.exp(-f), state)
 
 
 def chow_shift(s0: float, t: float, half_chi: float) -> float:
@@ -171,7 +162,7 @@ def hamilton_entropy(state: MetricState, s: float = 0.0) -> float:
     entropy after the geometry has converged.  With no shift active this is
     Hamilton's N minus a constant.
     """
-    w = conical_curvature(state) - s
+    w = state.conical_curvature - s
     if np.any(w <= 0.0):
         bad = int(np.argmin(w))
         raise ValueError(f"R - s is not positive (node {bad}, value {w[bad]:.3e})")

@@ -23,6 +23,11 @@ with respect to any conformal metric's area weights.  A consequence used by
 the tests: the discrete total curvature ``integral R dg`` equals 2 exactly
 for every state, because the curvature of a conformal factor integrates by
 parts to zero against the stencil.
+
+A :class:`MetricState` is an immutable value: its conformal factor is
+read-only, and its mass and its two curvature fields (``scalar_curvature``
+and ``conical_curvature``) are computed once, on first use, however many
+monitors read them.  The background's mass is kept the same way.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -360,7 +366,7 @@ class BackgroundMetric:
     cone_term: np.ndarray  # smoothed delta masses, divided by rho
     h: np.ndarray = None  # Ricci potential of the background (cached)
 
-    @property
+    @cached_property
     def mass(self) -> np.ndarray:
         return self.grid.w * self.rho
 
@@ -418,30 +424,61 @@ def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> Backgro
     return BackgroundMetric(grid, divisor, float(eps), rho, log_rho, R, cone_term=delta / rho)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MetricState:
-    """Conformal metric g = e^u g_bg at flow time t."""
+    """Conformal metric g = e^u g_bg at flow time t.
+
+    A state is an immutable value: ``u`` is a read-only view, and a new
+    conformal factor makes a new state.  So the fields derived from ``u``
+    (``mass``, ``scalar_curvature``, ``conical_curvature``) are computed on
+    first use and kept: every monitor of a sample reads the same arrays.
+    """
 
     background: BackgroundMetric
     u: np.ndarray
     t: float = 0.0
 
+    def __post_init__(self):
+        u = np.asarray(self.u, dtype=float).view()
+        u.flags.writeable = False
+        object.__setattr__(self, "u", u)
+
     @property
     def grid(self) -> SphereGrid:
         return self.background.grid
 
-    @property
+    @cached_property
     def mass(self) -> np.ndarray:
         return self.background.mass * np.exp(self.u)
 
     def area(self) -> float:
         return float(np.sum(self.mass))
 
+    @cached_property
+    def scalar_curvature(self) -> np.ndarray:
+        """R = e^(-u) (R_bg - Lap_bg u): the full metric curvature.
+
+        The discrete total ``integrate(R) = 2`` holds exactly for every
+        state, because the conformal contribution integrates by parts to
+        zero against the stencil.
+        """
+        bg = self.background
+        return np.exp(-self.u) * (bg.R + (self.grid.L @ self.u) / bg.mass)
+
+    @cached_property
+    def conical_curvature(self) -> np.ndarray:
+        """Smooth-part curvature R - e^(-u) * cone_term.
+
+        This is the curvature entering the conical flow and the conical
+        functionals: the smoothed Dirac masses at the marked points are
+        subtracted, so the total is chi(S^2, beta) rather than 2 (up to the
+        unresolved quadrature sliver of the bump).
+        """
+        return self.scalar_curvature - np.exp(-self.u) * self.background.cone_term
+
 
 def make_state(background: BackgroundMetric, u=None, t: float = 0.0) -> MetricState:
-    if u is None:
-        u = np.zeros(background.grid.n)
-    return MetricState(background, np.asarray(u, dtype=float), t)
+    return MetricState(background, np.zeros(background.grid.n) if u is None else u, t)
 
 
 # ----------------------------------------------------------------------
@@ -452,28 +489,6 @@ def make_state(background: BackgroundMetric, u=None, t: float = 0.0) -> MetricSt
 def integrate(f, state: MetricState) -> float:
     """integral f dg = sum f_i w_i rho_i e^(u_i)."""
     return float(np.sum(np.asarray(f) * state.mass))
-
-
-def scalar_curvature(state: MetricState) -> np.ndarray:
-    """R = e^(-u) (R_bg - Lap_bg u): the full metric curvature.
-
-    The discrete total ``integrate(R) = 2`` holds exactly for every state,
-    because the conformal contribution integrates by parts to zero against
-    the stencil.
-    """
-    bg = state.background
-    return np.exp(-state.u) * (bg.R + (state.grid.L @ state.u) / bg.mass)
-
-
-def conical_curvature(state: MetricState) -> np.ndarray:
-    """Smooth-part curvature R - e^(-u) * cone_term.
-
-    This is the curvature entering the conical flow and the conical
-    functionals: the smoothed Dirac masses at the marked points are
-    subtracted, so the total is chi(S^2, beta) rather than 2 (up to the
-    unresolved quadrature sliver of the bump).
-    """
-    return scalar_curvature(state) - np.exp(-state.u) * state.background.cone_term
 
 
 def dirichlet_energy(f, h, grid: SphereGrid) -> float:

@@ -24,6 +24,9 @@ SEMISTABLE_TOL = 1e-12
 #: minimum angular separation between marked points (radians)
 MIN_SEPARATION = 1e-9
 
+#: a position whose norm is this close to 1 counts as a unit vector
+UNIT_NORM_TOL = 4.0 * np.finfo(float).eps
+
 
 class StabilityClass(Enum):
     STABLE = "Stable"
@@ -49,7 +52,7 @@ class Divisor:
 
     Weights are stored sorted ascending, so ``weights[-1]`` is the largest
     weight; positions are permuted together with the weights.  Positions are
-    unit 3-vectors, pairwise distinct.
+    unit 3-vectors (to within UNIT_NORM_TOL), pairwise distinct.
     """
 
     weights: tuple
@@ -70,7 +73,11 @@ class Divisor:
             norms = np.linalg.norm(pos, axis=1)
             if np.any(norms == 0):
                 raise ValueError("zero position vector")
-            pos = pos / norms[:, None]
+            # a unit vector divided by its norm can move by 1 ulp, so one
+            # within UNIT_NORM_TOL of unit norm is kept as given: normalizing
+            # twice (a divisor read back from a manifest) then moves nothing
+            unit = np.abs(norms - 1.0) <= UNIT_NORM_TOL
+            pos = np.where(unit[:, None], pos, pos / norms[:, None])
         order = sorted(range(k), key=lambda i: _as_float(weights[i]))
         weights = [weights[i] for i in order]
         pos = pos[order] if k else pos.reshape(0, 3)

@@ -2,9 +2,10 @@
 
 None of these has a caller in the package: each is an independent route to
 a quantity the package computes another way (the F dissipation rate, the
-unnormalized W entropy, a mu upper bound, the metric Laplacian, a
-Gauss-curvature finite-difference oracle, the profile entropy by
-quadrature), or a test's shortcut to the distance rows a monitor reads.
+unnormalized W entropy, a mu upper bound, the metric Laplacian, the
+curvature expressions a state caches, a Gauss-curvature finite-difference
+oracle, the profile entropy by quadrature), or a test's shortcut to the
+distance rows a monitor reads.
 They live here so that ``src/conicflow`` holds only code a run reaches.
 """
 
@@ -21,7 +22,6 @@ from conicflow.geometry import (
     ROUND_R2,
     TWO_PI,
     MetricState,
-    conical_curvature,
     geodesic_rows,
     grad_sq_field,
     integrate,
@@ -54,6 +54,17 @@ def laplacian(f, state: MetricState) -> np.ndarray:
     if f.shape != (state.grid.n,):
         raise ValueError("field does not match the grid")
     return -(state.grid.L @ f) / state.mass
+
+
+def curvature_expressions(state: MetricState):
+    """(R, R - e^(-u) cone_term): the full and the smooth-part curvature
+    written out from ``u`` and the background, the expressions that
+    :attr:`MetricState.scalar_curvature` and
+    :attr:`MetricState.conical_curvature` must equal bit for bit."""
+    bg = state.background
+    a = np.exp(-state.u)
+    R = a * (bg.R + (state.grid.L @ state.u) / (state.grid.w * bg.rho))
+    return R, R - a * bg.cone_term
 
 
 def curvature_oracle(state: MetricState):
@@ -114,7 +125,7 @@ def w_functional(state: MetricState, f, tau: float) -> float:
     if tau <= 0:
         raise ValueError("tau must be positive")
     f = np.asarray(f, dtype=float)
-    R = conical_curvature(state)
+    R = state.conical_curvature
     g2 = grad_sq_field(f, state)
     integrand = (tau * (R + g2) + f - 2.0) * np.exp(-f) / (4.0 * math.pi * tau)
     return integrate(integrand, state)
@@ -140,7 +151,7 @@ def mu_estimate(state: MetricState, budget: int = 60) -> MuEstimate:
         raise ValueError("budget must be at least 1")
     bg = state.background
     a = 1.0 / bg.chi()
-    R = conical_curvature(state)
+    R = state.conical_curvature
     f = -ricci_potential(state).v
     f = f + math.log(integrate(np.exp(-f), state) / 2.0)
 

@@ -136,7 +136,7 @@ def test_criterion_4_calibration():
         assert abs(sym) < 1e-10
     assert np.abs(laplacian(np.ones(grid.n), state)).max() < 1e-10
     assert abs(float(grid.w.sum()) - 2.0) < 1e-3
-    assert np.abs(geo.scalar_curvature(state) - 1.0).max() < 1e-3
+    assert np.abs(state.scalar_curvature - 1.0).max() < 1e-3
 
     # cone-mass concentration under eps-halving (Richardson in eps^2)
     beta, delta = 0.5, 0.25
@@ -147,7 +147,7 @@ def test_criterion_4_calibration():
         g = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(g, d, eps))
         dist = distances_from(st, g.marked_points[0])
-        mass = geo.scalar_curvature(st) * st.mass
+        mass = st.scalar_curvature * st.mass
         vals.append(float(mass[dist <= delta].sum()))
     e1, e2 = eps_list[-2] ** 2, eps_list[-1] ** 2
     extrap = vals[-1] + (vals[-1] - vals[-2]) * e2 / (e1 - e2)

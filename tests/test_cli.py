@@ -285,7 +285,8 @@ class TestReport:
         ("not_an_object", "cannot read run"),
         ("missing_config", "lacks the key 'config'"),
         ("negative_dt", "dt and t_max must be positive"),
-    ], ids=["truncated", "not_an_object", "missing_config", "negative_dt"])
+        ("null_divisor", "divisor must be a Divisor, got None"),
+    ], ids=["truncated", "not_an_object", "missing_config", "negative_dt", "null_divisor"])
     def test_report_bad_manifest_is_usage_error(self, capsys, tmp_path, damage, msg):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"), t_max=0.2)
         out_dir = tmp_path / "out"
@@ -299,12 +300,15 @@ class TestReport:
             data = json.loads(man.read_text())
             if damage == "missing_config":
                 del data["config"]
+            elif damage == "null_divisor":
+                data["config"]["divisor"] = None
             else:
                 data["config"]["dt"] = -1
             man.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, "report", str(out_dir))
         assert code == 1
         assert err.startswith("error:") and msg in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("name", ["u_final.csv", "trace.csv"])
     def test_report_checks_output_hashes(self, capsys, tmp_path, name):

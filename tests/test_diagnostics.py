@@ -114,7 +114,7 @@ class TestCompareToProfile:
         grid = geo.build_axis_grid(256, d)
         bg = geo.background_metric(grid, d, 0.05)
         st = geo.make_state(bg, 0.5 * np.cos(3 * grid.theta))
-        st.u += math.log(2.0 / st.area())
+        st = geo.make_state(bg, st.u + math.log(2.0 / st.area()))
         res = diag.compare_to_profile(
             st, sol.soliton_profile(0.7, 0.4), marked_point_rows(st), margin=0.2
         )

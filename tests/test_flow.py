@@ -95,6 +95,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="divisor"):
             fl.parse_config_text("dt = 0.1\n")
 
+    def test_non_divisor_rejected(self):
+        with pytest.raises(ValueError, match="divisor must be a Divisor"):
+            small_config(divisor=None)
+
+    def test_dict_round_trip_random_divisors(self):
+        # a manifest gives back its divisor bit for bit: positions that are
+        # unit vectors already are not normalized a second time
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            div = Divisor(rng.uniform(0.05, 0.95, 3), rng.standard_normal((3, 3)))
+            cfg = small_config(divisor=div)
+            assert fl.FlowConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
 
 class TestStep:
     def test_round_sphere_is_stationary(self):
@@ -112,7 +125,7 @@ class TestStep:
         bg = geo.background_metric(grid, d, 0.1)
         th = np.repeat(grid.theta, grid.n_lon)
         st = geo.make_state(bg, 0.3 * np.cos(2 * th))
-        rhs = 0.5 * bg.chi() - geo.conical_curvature(st)
+        rhs = 0.5 * bg.chi() - st.conical_curvature
         err = {}
         for dt in (1e-4, 1e-5):
             rate = (one_step(st, dt).u - st.u) / dt
@@ -131,7 +144,7 @@ class TestStep:
         for _ in range(60):
             state = one_step(state, 0.02)
             state, _ = fl.renormalize(state)
-            sups.append(np.abs(geo.scalar_curvature(state) - 1.0).max())
+            sups.append(np.abs(state.scalar_curvature - 1.0).max())
         # the reaction term can push the sup up transiently; the decay is
         # eventual and, past the transient, monotone
         tail = sups[len(sups) // 2 :]
@@ -164,7 +177,7 @@ class TestRenormalize:
         for dt in (0.02, 0.01):
             st = one_step(state, dt)
             _, c = fl.renormalize(st)
-            imbalance = bg.chi() - geo.integrate(geo.conical_curvature(state), state)
+            imbalance = bg.chi() - geo.integrate(state.conical_curvature, state)
             assert abs(imbalance) < 1e-12
             assert abs(c) < 50.0 * dt * dt
 
@@ -523,7 +536,7 @@ class TestSharedGeodesicPass:
     def test_one_pass_per_sample_record(self, counts):
         cfg = small_config(initial="bump", seed=4)
         state = self.bumped_state(cfg)
-        chow_s = min(0.0, float(geo.conical_curvature(state).min())) - 0.05
+        chow_s = min(0.0, float(state.conical_curvature.min())) - 0.05
         counts["nearest_node"] = 0  # the grid's own lookups at build time
         rec = fl._sample_record(state, fn.ricci_potential(state), chow_s, 0.0)
         assert counts == {"edge_graph": 1, "dijkstra": 1, "nearest_node": 0}
@@ -576,7 +589,7 @@ class TestAxisymmetric:
                             t_max=40.0, sample_every=0.5, auto_stop=True)
         tr = fl.run(cfg)
         st = tr.final_state
-        rc = geo.conical_curvature(st)
+        rc = st.conical_curvature
         far = np.ones(st.grid.n, bool)
         for p in st.grid.marked_points:
             far &= distances_from(st, p) > 0.25

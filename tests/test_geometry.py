@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
-from oracles import curvature_oracle, distances_from, laplacian
+from oracles import curvature_expressions, curvature_oracle, distances_from, laplacian
 
 
 def _assemble_grid_loop(n_lat, n_lon):
@@ -201,7 +202,7 @@ class TestLaplacian:
 class TestBackground:
     def test_round_metric(self, round_state):
         assert round_state.area() == pytest.approx(2.0, abs=1e-12)
-        assert np.abs(geo.scalar_curvature(round_state) - 1.0).max() < 1e-12
+        assert np.abs(round_state.scalar_curvature - 1.0).max() < 1e-12
 
     def test_requires_positive_eps(self):
         grid = geo.build_grid(64, 128, Divisor([0.5]))
@@ -228,7 +229,7 @@ class TestBackground:
         grid = geo.build_grid(64, 128, d)
         bg = geo.background_metric(grid, d, 0.08)
         st = geo.make_state(bg)
-        rc = geo.conical_curvature(st)
+        rc = st.conical_curvature
         assert np.abs(rc - 0.5 * bg.chi() / bg.rho).max() < 1e-12
         assert geo.integrate(rc, st) == pytest.approx(bg.chi(), abs=1e-12)
 
@@ -239,7 +240,7 @@ class TestBackground:
             grid = geo.build_grid(n, 2 * n, d)
             bg = geo.background_metric(grid, d, 0.1)
             st = geo.make_state(bg)
-            errs.append(abs(geo.integrate(geo.scalar_curvature(st), st) - 2.0))
+            errs.append(abs(geo.integrate(st.scalar_curvature, st) - 2.0))
         order = math.log(errs[0] / errs[2]) / math.log(4.0)
         assert order > 1.5
         h = math.pi / 32
@@ -278,7 +279,7 @@ class TestBackground:
             bg = geo.background_metric(grid, d, eps)
             st = geo.make_state(bg)
             dist = distances_from(st, grid.marked_points[0])
-            mass = geo.scalar_curvature(st) * st.mass
+            mass = st.scalar_curvature * st.mass
             grid_vals.append(float(mass[dist <= delta].sum()))
             oracle_vals.append(cap_oracle(eps))
         for g, o in zip(grid_vals, oracle_vals):
@@ -293,30 +294,30 @@ class TestBackground:
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
         dist = distances_from(st, grid.marked_points[0])
-        mass = geo.scalar_curvature(st) * st.mass
+        mass = st.scalar_curvature * st.mass
         assert float(mass[dist <= 0.3].sum()) == pytest.approx(0.5, abs=0.05)
 
 
 class TestCurvatureOps:
     def test_scalar_curvature_u_zero(self, round_state):
-        assert np.allclose(geo.scalar_curvature(round_state), 1.0)
+        assert np.allclose(round_state.scalar_curvature, 1.0)
 
     def test_conformal_scaling_constant(self, round_state):
         st = geo.make_state(round_state.background, np.full(round_state.grid.n, 0.7))
-        assert np.abs(geo.scalar_curvature(st) - math.exp(-0.7)).max() < 1e-10
+        assert np.abs(st.scalar_curvature - math.exp(-0.7)).max() < 1e-10
 
     def test_total_curvature_any_state(self, round_state):
         rng = np.random.default_rng(5)
         th = np.repeat(round_state.grid.theta, round_state.grid.n_lon)
         st = geo.make_state(round_state.background, 0.4 * np.cos(2 * th))
-        assert geo.integrate(geo.scalar_curvature(st), st) == pytest.approx(2.0, abs=1e-10)
+        assert geo.integrate(st.scalar_curvature, st) == pytest.approx(2.0, abs=1e-10)
 
     def test_oracle_agreement_smooth_state(self, round_state):
         grid = round_state.grid
         th = np.repeat(grid.theta, grid.n_lon)
         et = np.tile(grid.eta, grid.n_lat)
         st = geo.make_state(round_state.background, 0.3 * np.sin(th) * np.cos(et))
-        R = geo.scalar_curvature(st)
+        R = st.scalar_curvature
         Ro, mask = curvature_oracle(st)
         m2 = mask.reshape(grid.n_lat, grid.n_lon)
         m2[:3] = m2[-3:] = False
@@ -392,6 +393,39 @@ def _bumped_axis_state():
     grid = geo.build_axis_grid(64, div)
     u = 0.3 * np.cos(grid.theta) + 0.2 * np.sin(grid.theta) ** 2
     return geo.make_state(geo.background_metric(grid, div, 0.1), u)
+
+
+@pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])
+class TestStateContract:
+    """A state is an immutable value whose derived fields are computed once
+    and equal the curvature expressions written out from ``u``."""
+
+    def test_curvature_fields_equal_expressions(self, make_state):
+        st = make_state()
+        R, R_cone = curvature_expressions(st)
+        assert np.array_equal(st.scalar_curvature, R)
+        assert np.array_equal(st.conical_curvature, R_cone)
+
+    def test_fields_are_kept(self, make_state):
+        st = make_state()
+        for name in ("mass", "scalar_curvature", "conical_curvature"):
+            assert getattr(st, name) is getattr(st, name)
+        assert st.background.mass is st.background.mass
+
+    def test_state_is_read_only(self, make_state):
+        st = make_state()
+        with pytest.raises(ValueError, match="read-only"):
+            st.u += 1
+        with pytest.raises(ValueError, match="read-only"):
+            st.u[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            st.t = 1
+
+    def test_caller_array_stays_writable(self, make_state):
+        st = make_state()
+        u = st.u.copy()
+        geo.make_state(st.background, u)
+        u[0] = 0.0
 
 
 @pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])
