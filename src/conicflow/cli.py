@@ -185,7 +185,7 @@ def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> d
     except ValueError as exc:
         raise UsageError(f"cannot set up the run: {exc}") from exc
     state = trace.final_state
-    report = diag.detect_convergence(trace, state, config.divisor)
+    report = diag.detect_convergence(state, trace.status)
 
     os.makedirs(out_dir, exist_ok=True)
     outputs = {}
@@ -193,7 +193,7 @@ def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> d
     trace.to_csv(trace_path)
     outputs["trace"] = "trace.csv"
     fields = [("final_snapshot", "u_final.csv", state.u)] + [
-        (f"snapshot_{t:.6f}", f"u_t{t:012.6f}.csv", u) for t, u in trace.meta.get("snapshots", [])
+        (f"snapshot_{t:.6f}", f"u_t{t:012.6f}.csv", u) for t, u in trace.snapshots
     ]
     field_sha = {}
     for key, name, u in fields:
@@ -216,8 +216,8 @@ def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> d
         "verdict": report.verdict,
         "wall_time_s": time.perf_counter() - t0,
         "outputs": outputs,
-        "nudges": [[int(i), float(o)] for i, o in trace.meta.get("nudges", [])],
-        "solver": trace.meta["solver"],
+        "nudges": [[int(i), float(o)] for i, o in state.grid.nudges],
+        "solver": trace.solver,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)
@@ -336,8 +336,9 @@ def cmd_sweep(args) -> int:
 
 
 def _read_run(run_dir: str):
-    """(final state, trace) of a finished run directory; ``trace.csv`` and
-    ``u_final.csv`` must match the SHA-256 sums in its manifest."""
+    """(final state, status) of a finished run directory; ``trace.csv`` and
+    ``u_final.csv`` must match the SHA-256 sums in its manifest.  The trace
+    is checked, not read: the verdict depends on the final state alone."""
     with open(os.path.join(run_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     config, outputs = fl.FlowConfig.from_dict(manifest["config"]), manifest["outputs"]
@@ -345,30 +346,27 @@ def _read_run(run_dir: str):
     bg = geo.background_metric(grid, config.divisor, config.eps)
     u_name = outputs["final_snapshot"]
     u = geo.load_field(os.path.join(run_dir, u_name), grid.n)
-    trace_path = os.path.join(run_dir, outputs["trace"])
-    for path, digest in ((trace_path, manifest["trace_sha256"]),
+    for path, digest in ((os.path.join(run_dir, outputs["trace"]), manifest["trace_sha256"]),
                          (os.path.join(run_dir, u_name), manifest["field_sha256"][u_name])):
         if _sha256(path) != digest:
             raise ValueError(f"{path!r} does not match the SHA-256 in the manifest")
-    trace = fl.FlowTrace.from_csv(trace_path)
-    trace.status = manifest["status"]
-    return geo.make_state(bg, u), trace
+    return geo.make_state(bg, u), manifest["status"]
 
 
 def cmd_report(args) -> int:
     try:
-        state, trace = _read_run(args.run_dir)
+        state, status = _read_run(args.run_dir)
     except KeyError as exc:
         raise UsageError(f"manifest in {args.run_dir!r} lacks the key {exc}") from exc
     except (OSError, ValueError, TypeError) as exc:
         raise UsageError(f"cannot read run {args.run_dir!r}: {exc}") from exc
-    report = diag.detect_convergence(trace, state, state.background.divisor)
+    report = diag.detect_convergence(state, status)
     print(report.summary())
-    rp = fn.ricci_potential(state)
+    v = fn.ricci_potential(state)
     print(f"f_beta: {fn.f_beta(state):.8g}")
-    print(f"normalized_w(-v): {fn.normalized_w(state, -rp.v):.8g}")
+    print(f"normalized_w(-v): {fn.normalized_w(state, -v):.8g}")
     rows = geo.geodesic_rows(state, state.grid.marked_nodes)
-    print(f"soliton_residual: {fn.soliton_residual(state, rp.v, rows):.6g}")
+    print(f"soliton_residual: {fn.soliton_residual(state, v, rows):.6g}")
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())

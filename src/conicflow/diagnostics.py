@@ -53,8 +53,10 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows: dict) 
     for node in state.grid.marked_nodes:
         mask &= rows[node] > delta_exclusion
     if state.grid.n_lon > 1:
-        # the pole closure is first-order; its two rows carry ~1e-4 of the
-        # area but would pollute sup-norms of imported (non-flow) states
+        # the pole closure is not consistent: on the pole rows the error of
+        # Lap Y = -Y stays ~0.09 for cos(theta) and grows like 1/h for
+        # sin(theta) cos(eta).  The two rows carry ~h^2 of the area but
+        # would pollute sup-norms of imported (non-flow) states
         m2 = mask.reshape(state.grid.n_lat, state.grid.n_lon)
         m2[0, :] = m2[-1, :] = False
         mask = m2.ravel()
@@ -226,7 +228,7 @@ def football_control_state(
 
     if beta <= 0.0:
         grid = geo.build_grid(n_lat, n_lon)
-        return geo.make_state(geo.background_metric(grid, None, eps))
+        return geo.make_state(geo.background_metric(grid, grid.divisor, eps))
     if n_lon == 1:
         div = Divisor([beta, beta], [[0, 0, 1.0], [0, 0, -1.0]])
     else:
@@ -243,14 +245,16 @@ def football_control_state(
 # ----------------------------------------------------------------------
 
 
-def _residual_floor(state, bg, divisor, profile):
+def _residual_floor(state, profile):
     """The honest residual floor for 'this state is that soliton'.
 
     For two-point axisymmetric states the floor is the residual of the
     closed-form profile sampled on the same background (the eps-sampling
-    noise an exact orbit state carries); otherwise a capped-resolution
-    converged football at matching eps serves as the reference.
+    noise an exact orbit state carries); otherwise the converged football
+    on the state's grid, at its eps or at the smallest eps that grid
+    resolves, serves as the reference.
     """
+    bg, divisor = state.background, state.grid.divisor
     if state.grid.n_lon == 1 and divisor.k == 2:
         w = divisor.weights_float()
         axis = divisor.positions[int(np.argmax(w))]
@@ -258,11 +262,9 @@ def _residual_floor(state, bg, divisor, profile):
     else:
         ctrl_lat, ctrl_lon = state.grid.n_lat, state.grid.n_lon
         ctrl_eps = max(bg.eps, 1.01 * math.pi / (ctrl_lat * math.sqrt(2.0)))
-        ref = football_control_state(
-            ctrl_lat, ctrl_lon, 0.5 * (2.0 - bg.chi()) if divisor.k else 0.0, ctrl_eps
-        )
+        ref = football_control_state(ctrl_lat, ctrl_lon, 0.5 * (2.0 - bg.chi()), ctrl_eps)
     rows = geo.geodesic_rows(ref, ref.grid.marked_nodes)
-    return fn.soliton_residual(ref, fn.ricci_potential(ref).v, rows)
+    return fn.soliton_residual(ref, fn.ricci_potential(ref), rows)
 
 
 @dataclass
@@ -298,24 +300,23 @@ class ConvergenceReport:
 
 
 def detect_convergence(
-    trace,
-    final_state: geo.MetricState,
-    divisor: Divisor,
-    thresholds: Thresholds = None,
+    final_state: geo.MetricState, status: str = "unknown", thresholds: Thresholds = None
 ) -> ConvergenceReport:
-    """Classify the terminal state of a completed run.
+    """Classify the terminal state of a run; ``status`` is the run's, and
+    is reported as a caveat.
 
     Decision tree: flat curvature at chi/2 implies ConstantCurvature, or
     Football when the divisor is semi-stable and the marks form two
     clusters; otherwise a soliton verdict needs the residual at its control
     floor, a bipartition of the marks, the best-matching partition profile,
     and an entropy match against the partition table.  Anything else is
-    Undecided.
+    Undecided.  Everything is read from ``final_state``, its divisor from
+    its grid.
     """
     import warnings
 
     th = thresholds or Thresholds()
-    bg = final_state.background
+    bg, divisor = final_state.background, final_state.grid.divisor
     delta = max(th.delta_exclusion, 2.0 * bg.eps)
     rows = geo.geodesic_rows(final_state, final_state.grid.marked_nodes)
     stats = curvature_stats(final_state, delta, rows)
@@ -328,7 +329,7 @@ def detect_convergence(
         "eps": bg.eps,
         "resolution": f"{final_state.grid.n_lat}x{final_state.grid.n_lon}",
         "delta_exclusion": delta,
-        "status": getattr(trace, "status", "unknown"),
+        "status": status,
     }
 
     verdict = "Undecided"
@@ -351,7 +352,8 @@ def detect_convergence(
                 "rerun with smaller eps"
             )
     else:
-        resid = fn.soliton_residual(final_state, fn.ricci_potential(final_state).v, rows)
+        v = fn.ricci_potential(final_state)
+        resid = fn.soliton_residual(final_state, v, rows)
         residuals["soliton_residual"] = resid
         if len(clusters) == 2:
             best = None
@@ -365,9 +367,9 @@ def detect_convergence(
             if best is not None:
                 r, ld, prof = best
                 residuals["profile_residual"] = r
-                w_term = float(trace["w_normalized"][-1])
+                w_term = fn.normalized_w(final_state, -v)
                 residuals["w_gap"] = abs(w_term - sol.soliton_w(ld.beta_p, ld.beta_q))
-                floor = _residual_floor(final_state, bg, divisor, prof)
+                floor = _residual_floor(final_state, prof)
                 residuals["soliton_residual_floor"] = floor
                 if (
                     resid < th.residual_factor * max(floor, 1e-12)

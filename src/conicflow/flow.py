@@ -104,10 +104,7 @@ class FlowConfig:
 
     def to_dict(self) -> dict:
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "divisor"}
-        d["divisor"] = {
-            "weights": [float(w) for w in self.divisor.weights],
-            "positions": self.divisor.positions.tolist(),
-        }
+        d["divisor"] = self.divisor.to_dict()
         return d
 
     @classmethod
@@ -117,7 +114,7 @@ class FlowConfig:
         the check to reject."""
         kw = {f.name: d[f.name] for f in fields(cls)}
         if isinstance(kw["divisor"], dict):
-            kw["divisor"] = Divisor(kw["divisor"]["weights"], kw["divisor"]["positions"])
+            kw["divisor"] = Divisor.from_dict(kw["divisor"])
         return cls(**kw)
 
 
@@ -363,11 +360,15 @@ def renormalize(state: geo.MetricState):
 
 @dataclass
 class FlowTrace:
+    """The sampled monitors of a run, its status and its last state, with
+    the snapshots taken on the way and the stepper's counters."""
+
     times: np.ndarray
     columns: dict
-    meta: dict = field(default_factory=dict)
     status: str = "completed"
     final_state: geo.MetricState = field(default=None, repr=False)
+    snapshots: list = field(default_factory=list, repr=False)  # (t, u) pairs
+    solver: dict = field(default_factory=dict)
 
     def column_names(self):
         return list(self.columns.keys())
@@ -383,17 +384,8 @@ class FlowTrace:
                 row = [f"{t:.17g}"] + [f"{self.columns[c][i]:.17g}" for c in names]
                 fh.write(",".join(row) + "\n")
 
-    @classmethod
-    def from_csv(cls, path: str) -> "FlowTrace":
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        times = data[:, 0]
-        cols = {name: data[:, i + 1] for i, name in enumerate(header[1:])}
-        return cls(times, cols)
 
-
-def _sample_record(state, rp, chow_s, drift):
+def _sample_record(state, v, chow_s, drift):
     # one geodesic pass from the grid's diameter sources, which include the
     # marked nodes, serves every distance monitor of this sample
     grid = state.grid
@@ -409,8 +401,8 @@ def _sample_record(state, rp, chow_s, drift):
         "f_beta": fn.f_beta(state),
         "hamilton_entropy": fn.hamilton_entropy(state, chow_s),
         "chow_s": chow_s,
-        "w_normalized": fn.normalized_w(state, -rp.v),
-        "soliton_residual": fn.soliton_residual(state, rp.v, rows),
+        "w_normalized": fn.normalized_w(state, -v),
+        "soliton_residual": fn.soliton_residual(state, v, rows),
         "renorm_drift": drift,
     }
     k = len(grid.marked_nodes)
@@ -425,7 +417,8 @@ def _sample_record(state, rp, chow_s, drift):
     return rec
 
 
-def _initial_field(config: FlowConfig, grid: geo.SphereGrid, bg=None) -> np.ndarray:
+def _initial_field(config: FlowConfig, bg: geo.BackgroundMetric) -> np.ndarray:
+    grid = bg.grid
     if config.initial == "zero":
         return np.zeros(grid.n)
     if config.initial == "soliton":
@@ -456,7 +449,7 @@ def _initial_field(config: FlowConfig, grid: geo.SphereGrid, bg=None) -> np.ndar
 
 def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
     bg = geo.background_metric(grid, config.divisor, config.eps)
-    state = geo.make_state(bg, _initial_field(config, grid, bg))
+    state = geo.make_state(bg, _initial_field(config, bg))
     state, _ = renormalize(state)
 
     # Chow's shift is only needed when the smooth-part curvature is not
@@ -480,11 +473,11 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
 
     def record():
         """Append one sample; a non-finite monitor ends the run after it."""
-        rp = fn.ricci_potential(state)
+        v = fn.ricci_potential(state)
         s = fn.chow_shift(s0, state.t, half_chi)
-        rows.append(_sample_record(state, rp, s, drift_last))
+        rows.append(_sample_record(state, v, s, drift_last))
         times.append(state.t)
-        bad = next((k for k, v in rows[-1].items() if not math.isfinite(v)), None)
+        bad = next((k for k, x in rows[-1].items() if not math.isfinite(x)), None)
         if bad is not None:
             raise FlowError(f"non-finite monitor {bad} at t = {state.t:g}")
 
@@ -514,15 +507,7 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
         status = f"failed: {type(exc).__name__}: {exc}"
 
     columns = {k: np.array([r[k] for r in rows]) for k in (rows[0] if rows else ())}
-    trace = FlowTrace(np.array(times), columns, status=status, final_state=state)
-    trace.meta = {
-        "config": config.to_dict(),
-        "chow_s0": s0,
-        "snapshots": snapshots,
-        "nudges": grid.nudges,
-        "solver": implicit.counters(),
-    }
-    return trace
+    return FlowTrace(np.array(times), columns, status, state, snapshots, implicit.counters())
 
 
 def run(config: FlowConfig) -> FlowTrace:

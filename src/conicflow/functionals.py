@@ -8,14 +8,12 @@ round-off.
 On the eps-smoothed background the full Gauss-Bonnet mass is 2, not
 chi(S^2, beta), so the Poisson problems for the Ricci potential and for the
 background potential h are solvable only after removing the mean of the
-right-hand side (the resolved cone mass).  The mean removed for the Ricci
-potential is reported with it as ``RicciPotential.mean_correction``.
+right-hand side (the resolved cone mass).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,35 +31,24 @@ def _poisson(grid, masses, rhs):
 
     The rhs is first shifted to have zero metric mean (the shift is the
     solvability correction); the additive constant of v is left at v[0] = 0
-    for the caller to fix by normalization.  Returns (v, correction).
+    for the caller to fix by normalization.
     """
     total = float(np.sum(masses))
     correction = float(np.sum(rhs * masses)) / total
     b = -(rhs - correction) * masses
     b -= b.sum() / b.size  # keep the grounded solve consistent to round-off
-    v = grid.ground_solve(b)
-    return v, correction
+    return grid.ground_solve(b)
 
 
-@dataclass
-class RicciPotential:
-    """Solution of Lap v = R - chi/2 normalized by int e^(-v) dg = 2.
+def ricci_potential(state: MetricState) -> np.ndarray:
+    """The Ricci potential v: Lap v = R - chi/2 (mean-corrected), normalized
+    by int e^(-v) dg = 2.
 
     R here is the smooth-part (conical) curvature, so at a conical
     constant-curvature state v vanishes away from the cone cores."""
-
-    v: np.ndarray
-    normalization_residual: float
-    mean_correction: float  # resolved cone mass removed from the rhs
-
-
-def ricci_potential(state: MetricState) -> RicciPotential:
-    bg = state.background
-    rhs = state.conical_curvature - 0.5 * bg.chi()
-    v, corr = _poisson(state.grid, state.mass, rhs)
-    v = v + math.log(integrate(np.exp(-v), state) / 2.0)
-    resid = abs(integrate(np.exp(-v), state) - 2.0)
-    return RicciPotential(v, resid, corr)
+    rhs = state.conical_curvature - 0.5 * state.background.chi()
+    v = _poisson(state.grid, state.mass, rhs)
+    return v + math.log(integrate(np.exp(-v), state) / 2.0)
 
 
 def recover_potential(state: MetricState) -> np.ndarray:
@@ -71,7 +58,7 @@ def recover_potential(state: MetricState) -> np.ndarray:
     bg = state.background
     area = state.area()
     rhs = np.exp(state.u) * (2.0 / area) - 1.0
-    phi, _ = _poisson(state.grid, bg.mass, rhs)
+    phi = _poisson(state.grid, bg.mass, rhs)
     phi -= np.sum(phi * bg.mass) / 2.0
     return phi
 
@@ -81,7 +68,7 @@ def h_background(bg: BackgroundMetric) -> np.ndarray:
     (mean-corrected), normalized by int e^h dg_bg = 2.  Cached on bg."""
     if bg.h is None:
         rhs = bg.R - bg.cone_term - 0.5 * bg.chi()
-        h, _ = _poisson(bg.grid, bg.mass, rhs)
+        h = _poisson(bg.grid, bg.mass, rhs)
         h += math.log(2.0 / float(np.sum(np.exp(h) * bg.mass)))
         bg.h = h
     return bg.h

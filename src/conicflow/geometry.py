@@ -205,7 +205,7 @@ def _place_marked_points(grid: SphereGrid, points: np.ndarray) -> None:
     grid.diameter_nodes = list(dict.fromkeys(axes + grid.marked_nodes))
 
 
-def build_grid(n_lat: int, n_lon: int, divisor: Divisor = None) -> SphereGrid:
+def build_grid(n_lat: int, n_lon: int, divisor: Divisor = Divisor([])) -> SphereGrid:
     """Build the 2-D grid, nudging marked points off grid nodes if needed.
 
     A marked point exactly at a pole is moved to the adjacent cell-center
@@ -219,29 +219,26 @@ def build_grid(n_lat: int, n_lon: int, divisor: Divisor = None) -> SphereGrid:
         )
     grid = _assemble_grid(n_lat, n_lon)
     grid.divisor = divisor
-    if divisor is not None and divisor.k:
-        pts = divisor.positions.copy()
-        h_eta = TWO_PI / n_lon
-        nodes = grid.positions()
-        for idx in range(divisor.k):
-            theta, eta = angles_from_vec(pts[idx])
-            if min(theta, math.pi - theta) < 1e-12:
-                new_theta = grid.h_theta / 2 if theta < 1e-12 else math.pi - grid.h_theta / 2
-                pts[idx] = vec_from_angles(new_theta, 0.0)
-                grid.nudges.append((idx, grid.h_theta / 2))
-                continue
-            node = grid.nearest_node(pts[idx])
-            ang = math.acos(float(np.clip(np.dot(pts[idx], nodes[node]), -1, 1)))
-            if ang < 1e-9:
-                pts[idx] = vec_from_angles(theta, eta + 0.5 * h_eta)
-                grid.nudges.append((idx, 0.5 * h_eta))
-    else:
-        pts = np.zeros((0, 3))
+    pts = divisor.positions.copy()
+    h_eta = TWO_PI / n_lon
+    nodes = grid.positions()
+    for idx in range(divisor.k):
+        theta, eta = angles_from_vec(pts[idx])
+        if min(theta, math.pi - theta) < 1e-12:
+            new_theta = grid.h_theta / 2 if theta < 1e-12 else math.pi - grid.h_theta / 2
+            pts[idx] = vec_from_angles(new_theta, 0.0)
+            grid.nudges.append((idx, grid.h_theta / 2))
+            continue
+        node = grid.nearest_node(pts[idx])
+        ang = math.acos(float(np.clip(np.dot(pts[idx], nodes[node]), -1, 1)))
+        if ang < 1e-9:
+            pts[idx] = vec_from_angles(theta, eta + 0.5 * h_eta)
+            grid.nudges.append((idx, 0.5 * h_eta))
     _place_marked_points(grid, pts)
     return grid
 
 
-def build_axis_grid(n_lat: int, divisor: Divisor = None) -> SphereGrid:
+def build_axis_grid(n_lat: int, divisor: Divisor = Divisor([])) -> SphereGrid:
     """1-D colatitude grid for rotationally symmetric runs.
 
     The divisor may hold at most two marked points, placed at the poles.
@@ -250,18 +247,16 @@ def build_axis_grid(n_lat: int, divisor: Divisor = None) -> SphereGrid:
     """
     if n_lat < MIN_N_LAT:
         raise ValueError(f"resolution too small: need n_lat >= {MIN_N_LAT}")
-    if divisor is not None and divisor.k:
-        if divisor.k > 2:
-            raise ValueError("axisymmetric path needs at most 2 marked points")
-        for p in divisor.positions:
-            if abs(abs(float(p[2])) - 1.0) > 1e-12:
-                raise ValueError("axisymmetric marked points must sit at the poles")
-        if divisor.k == 2 and divisor.positions[0][2] * divisor.positions[1][2] > 0:
-            raise ValueError("two axisymmetric marked points must be at opposite poles")
+    if divisor.k > 2:
+        raise ValueError("axisymmetric path needs at most 2 marked points")
+    for p in divisor.positions:
+        if abs(abs(float(p[2])) - 1.0) > 1e-12:
+            raise ValueError("axisymmetric marked points must sit at the poles")
+    if divisor.k == 2 and divisor.positions[0][2] * divisor.positions[1][2] > 0:
+        raise ValueError("two axisymmetric marked points must be at opposite poles")
     grid = _assemble_grid(n_lat, 1)
     grid.divisor = divisor
-    pts = divisor.positions.copy() if (divisor and divisor.k) else np.zeros((0, 3))
-    _place_marked_points(grid, pts)
+    _place_marked_points(grid, divisor.positions.copy())
     return grid
 
 
@@ -371,11 +366,11 @@ class BackgroundMetric:
         return self.grid.w * self.rho
 
     def chi(self) -> float:
-        return 2.0 - (self.divisor.weights_float().sum() if self.divisor else 0.0)
+        return 2.0 - self.divisor.weights_float().sum()
 
     def beta_max(self) -> float:
         """The largest cone weight; 0 without marked points."""
-        return float(self.divisor.weights_float().max()) if self.divisor and self.divisor.k else 0.0
+        return float(self.divisor.weights_float().max(initial=0.0))
 
 
 def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> BackgroundMetric:
@@ -388,7 +383,7 @@ def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> Backgro
     """
     if eps <= 0:
         raise ValueError("smoothing length eps must be positive")
-    if divisor is not None and divisor.k and math.sqrt(2.0) * eps < grid.h_theta:
+    if divisor.k and math.sqrt(2.0) * eps < grid.h_theta:
         raise ValueError(
             f"eps={eps} leaves the cone core unresolved at n_lat={grid.n_lat} "
             f"(need sqrt(2)*eps >= {grid.h_theta:.4f})"
@@ -398,16 +393,15 @@ def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> Backgro
     delta = np.zeros(grid.n)  # smoothed Dirac masses, unit-round density
     lap_log = np.zeros(grid.n)  # round Laplacian of log rho, closed form
     e2 = eps * eps
-    if divisor is not None and divisor.k:
-        w = divisor.weights_float()
-        for j in range(divisor.k):
-            s = 1.0 - pos @ grid.marked_points[j]
-            log_rho -= w[j] * np.log(s + e2)
-            den = (s + e2) ** 2
-            # curvature bump of the (s + eps^2)^-beta smoothing; integrates
-            # to beta exactly against the unit-round measure
-            delta += 0.5 * w[j] * e2 * (2.0 + e2) / den
-            lap_log -= w[j] * (2.0 * e2 * (1.0 - s) - s * s) / den
+    w = divisor.weights_float()
+    for j in range(divisor.k):
+        s = 1.0 - pos @ grid.marked_points[j]
+        log_rho -= w[j] * np.log(s + e2)
+        den = (s + e2) ** 2
+        # curvature bump of the (s + eps^2)^-beta smoothing; integrates
+        # to beta exactly against the unit-round measure
+        delta += 0.5 * w[j] * e2 * (2.0 + e2) / den
+        lap_log -= w[j] * (2.0 * e2 * (1.0 - s) - s * s) / den
     log_rho -= log_rho.max()  # overflow guard before normalization
     rho = np.exp(log_rho)
     total = float(np.sum(grid.w * rho))
@@ -533,7 +527,10 @@ def geodesic_rows(state: MetricState, nodes) -> dict:
     by node.
 
     8-neighbor Dijkstra with edge lengths scaled by e^(u/2); an upper bound
-    on the true distance, first-order convergent, and exactly a metric.  The
+    on the true distance and exactly a metric.  It converges at first order
+    only on the 1-D grid, where a row sums edge lengths along the meridian;
+    in 2-D the 8-neighbor stencil keeps a direction-dependent excess (up to
+    ~8% on the round sphere) that refinement does not remove.  The
     edge graph is built once and one multi-source Dijkstra serves every
     distinct node; each row equals its single-source run exactly.  This is
     the only distance pass: the monitors below read its rows.

@@ -118,20 +118,24 @@ class Divisor:
 
     # -- serialization -----------------------------------------------------
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The divisor as JSON values: a Fraction weight is the string
+        ``"num/den"``, so exact weights survive a round trip."""
         def enc(w):
-            return f"{w.numerator}/{w.denominator}" if isinstance(w, Fraction) else w
+            return f"{w.numerator}/{w.denominator}" if isinstance(w, Fraction) else float(w)
 
-        return json.dumps(
-            {
-                "weights": [enc(w) for w in self.weights],
-                "positions": [list(map(float, p)) for p in self.positions],
-            }
-        )
+        return {
+            "weights": [enc(w) for w in self.weights],
+            "positions": [list(map(float, p)) for p in self.positions],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
-    def from_json(cls, text: str) -> "Divisor":
-        data = json.loads(text)
+    def from_dict(cls, data) -> "Divisor":
+        """Inverse of :meth:`to_dict`; missing positions spread the points
+        along the equator."""
         if not isinstance(data, dict) or not isinstance(data.get("weights"), list):
             raise ValueError("divisor JSON must be an object with a 'weights' list")
         weights = []
@@ -145,6 +149,10 @@ class Divisor:
             except (TypeError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad weight {w!r}: {exc}") from exc
         return cls(weights, data.get("positions"))
+
+    @classmethod
+    def from_json(cls, text: str) -> "Divisor":
+        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,7 @@ def skew_factors_from_third_solve(monkeypatch):
 @pytest.fixture(scope="session")
 def round_state():
     grid = geo.build_grid(48, 96)
-    return geo.make_state(geo.background_metric(grid, None, 0.1))
+    return geo.make_state(geo.background_metric(grid, grid.divisor, 0.1))
 
 
 @pytest.fixture(scope="session")

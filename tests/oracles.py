@@ -4,8 +4,9 @@ None of these has a caller in the package: each is an independent route to
 a quantity the package computes another way (the F dissipation rate, the
 unnormalized W entropy, a mu upper bound, the metric Laplacian, the
 curvature expressions a state caches, a Gauss-curvature finite-difference
-oracle, the profile entropy by quadrature), or a test's shortcut to the
-distance rows a monitor reads.
+oracle, the profile entropy by quadrature), a test's shortcut to the
+distance rows a monitor reads, or a reader of the ``trace.csv`` a run
+writes.
 They live here so that ``src/conicflow`` holds only code a run reaches.
 """
 
@@ -27,6 +28,14 @@ from conicflow.geometry import (
     integrate,
 )
 from conicflow.soliton import RadialProfile
+
+
+def read_trace(path: str) -> dict:
+    """The columns of a ``trace.csv`` by header name, ``time`` first."""
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return {name: data[:, i] for i, name in enumerate(header)}
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +121,7 @@ def f_beta_rate_oracle(state: MetricState, v: np.ndarray = None) -> float:
     nonpositive, vanishing only at constant curvature.
     """
     if v is None:
-        v = ricci_potential(state).v
+        v = ricci_potential(state)
     ev = np.exp(v)
     return 0.5 * integrate(v, state) - integrate(v * ev, state) / integrate(ev, state)
 
@@ -152,7 +161,7 @@ def mu_estimate(state: MetricState, budget: int = 60) -> MuEstimate:
     bg = state.background
     a = 1.0 / bg.chi()
     R = state.conical_curvature
-    f = -ricci_potential(state).v
+    f = -ricci_potential(state)
     f = f + math.log(integrate(np.exp(-f), state) / 2.0)
 
     def w_of(fld):

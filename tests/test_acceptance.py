@@ -121,7 +121,7 @@ def test_criterion_3_mu_ordering():
 
 def test_criterion_4_calibration():
     grid = geo.build_grid(64, 128)
-    state = geo.make_state(geo.background_metric(grid, None, 0.05))
+    state = geo.make_state(geo.background_metric(grid, grid.divisor, 0.05))
     rng = np.random.default_rng(44)
     for _ in range(20):
         f = rng.standard_normal(grid.n)
@@ -277,8 +277,8 @@ def test_criterion_8_residual_decay_to_floor(shipped_runs, football_control):
     resid = tr["soliton_residual"]
     tail = resid[burn_in(len(resid)):]
     assert np.all(np.diff(tail) <= 1e-9 + 0.01 * tail[:-1]), "not monotone after burn-in"
-    rp = fn.ricci_potential(football_control)
-    floor = fn.soliton_residual(football_control, rp.v, marked_point_rows(football_control))
+    v = fn.ricci_potential(football_control)
+    floor = fn.soliton_residual(football_control, v, marked_point_rows(football_control))
     # both floors sit at round-off; the absolute term is the noise scale of
     # the comparison
     assert resid[-1] <= 3.0 * floor + 1e-6

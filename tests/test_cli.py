@@ -8,6 +8,7 @@ import pytest
 from conicflow import cli
 from conicflow.marked_sphere import Divisor
 from conftest import shipped_divisor, skew_factors_from_third_solve
+from oracles import read_trace
 
 
 @pytest.fixture()
@@ -143,7 +144,6 @@ class TestRun:
 
     @pytest.mark.parametrize("fault", ["nan", "raise"])
     def test_non_finite_monitor_fails_run(self, capsys, tmp_path, monkeypatch, fault):
-        from conicflow import flow as fl
         from conicflow import functionals as fn
 
         real = fn.f_beta
@@ -168,8 +168,8 @@ class TestRun:
             status, n_rows = "failed: non-finite monitor f_beta at t = 0.1", 2
         assert json.loads((out_dir / "manifest.json").read_text())["status"] == status
         assert status in out
-        trace = fl.FlowTrace.from_csv(str(out_dir / "trace.csv"))
-        assert len(calls) == 2 and len(trace.times) == n_rows
+        trace = read_trace(str(out_dir / "trace.csv"))
+        assert len(calls) == 2 and len(trace["time"]) == n_rows
         assert math.isfinite(trace["f_beta"][0])
         if fault == "nan":
             assert math.isnan(trace["f_beta"][1])
@@ -236,8 +236,6 @@ class TestRun:
         # from the third step on, every factor the stepper builds is off by
         # a factor 2.5: refinement diverges, the refactorized fallback
         # leaves a relative residual of 2.25, and the run must fail on it
-        from conicflow import flow as fl
-
         steps = skew_factors_from_third_solve(monkeypatch)
         cfg = tiny_config(tmp_path, shipped_divisor("semistable"), sample_every=0.02)
         out_dir = tmp_path / "out"
@@ -246,8 +244,8 @@ class TestRun:
         status = json.loads((out_dir / "manifest.json").read_text())["status"]
         assert status.startswith("failed: implicit solve stalled at relative residual")
         assert status in out
-        trace = fl.FlowTrace.from_csv(str(out_dir / "trace.csv"))
-        assert len(steps) == 3 and len(trace.times) == 3  # t = 0 and steps 1, 2
+        trace = read_trace(str(out_dir / "trace.csv"))
+        assert len(steps) == 3 and len(trace["time"]) == 3  # t = 0 and steps 1, 2
 
     def test_usage_error_on_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(capsys, "frobnicate")
@@ -263,6 +261,28 @@ class TestReport:
         assert code in (0, 3)
         assert "verdict:" in out
         assert "f_beta:" in out
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["completed", "failed"])
+    def test_report_json_is_the_runs_report(self, capsys, tmp_path, monkeypatch, fail):
+        # the verdict reads the final state alone, so `report` rebuilds the
+        # run's report.json byte for byte from u_final.csv and the manifest;
+        # the 1-D two-point run takes the w_gap branch, and the failed one
+        # stops between samples
+        from conftest import shipped_config_path
+
+        if fail:
+            skew_factors_from_third_solve(monkeypatch)
+        out_dir = tmp_path / "out"
+        code, run_out, _ = run_cli(capsys, "run", "--config", shipped_config_path("soliton_axis"),
+                                   "--resolution", "4096x1", "--epsilon", "6e-4",
+                                   "--tmax", "0.1", "--out", str(out_dir))
+        assert code == (2 if fail else 3)
+        run_report = (out_dir / "report.json").read_text()
+        assert "w_gap" in json.loads(run_report)["residuals"]
+        code, out, _ = run_cli(capsys, "report", str(out_dir), "--json", str(tmp_path / "r.json"))
+        assert code == 3
+        assert (tmp_path / "r.json").read_text() == run_report
+        assert out.startswith(run_out.split("\nstatus: ")[0] + "\n")
 
     def test_report_missing_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", str(tmp_path / "nope"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conicflow import diagnostics as diag
+from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
@@ -146,11 +147,37 @@ class TestCompareToProfile:
 
 
 class TestDetectConvergence:
+    def test_round_state_constant_curvature(self, round_state):
+        rep = diag.detect_convergence(round_state)
+        assert rep.verdict == "ConstantCurvature"
+        assert rep.divisor_class == "Stable" and rep.clusters == []
+        assert rep.caveats["status"] == "unknown"
+
+    def test_failed_run_takes_w_from_its_final_state(self, tmp_path, monkeypatch):
+        # the stepper fails on step 3, between the samples at t = 0 and
+        # t = 0.1: the entropy gap is that of the state classified, not of
+        # the last sample
+        from conftest import shipped_config, skew_factors_from_third_solve
+        from conicflow import cli
+        from conicflow.marked_sphere import enumerate_partitions
+
+        skew_factors_from_third_solve(monkeypatch)
+        cfg = shipped_config("soliton_axis", n_lat=4096, eps=6e-4, t_max=0.1)
+        result = cli.execute_run(cfg, str(tmp_path / "run"))
+        trace, rep = result["trace"], result["report"]
+        state = trace.final_state
+        assert trace.status.startswith("failed") and rep.caveats["status"] == trace.status
+        assert list(trace.times) == [0.0] and state.t == pytest.approx(2 * cfg.dt)
+        [ld] = [ld for ld in enumerate_partitions(cfg.divisor) if ld.valid]
+        w = fn.normalized_w(state, -fn.ricci_potential(state))
+        assert w != trace["w_normalized"][-1]
+        assert rep.residuals["w_gap"] == abs(w - sol.soliton_w(ld.beta_p, ld.beta_q))
+
     def test_report_serializes(self, shipped_runs):
         import json
 
         tr = shipped_runs["stable"]
-        rep = diag.detect_convergence(tr, tr.final_state, tr.final_state.grid.divisor)
+        rep = diag.detect_convergence(tr.final_state, tr.status)
         data = json.loads(rep.to_json())
         assert data["verdict"] == rep.verdict
         assert "thresholds" in data
@@ -158,7 +185,7 @@ class TestDetectConvergence:
 
     def test_stable_run_constant_curvature(self, shipped_runs):
         tr = shipped_runs["stable"]
-        rep = diag.detect_convergence(tr, tr.final_state, tr.final_state.grid.divisor)
+        rep = diag.detect_convergence(tr.final_state, tr.status)
         assert rep.verdict == "ConstantCurvature"
         assert rep.clusters == [[0], [1], [2]]
 
@@ -168,10 +195,7 @@ class TestDetectConvergence:
         # default (5e-2) is the asymptotic tolerance and stays Undecided at
         # eps = 2e-4 (w_gap ~ 0.15, documented)
         tr = soliton_axis_result["trace"]
-        div = tr.final_state.grid.divisor
-        rep = diag.detect_convergence(
-            tr, tr.final_state, div, diag.Thresholds(w_match_tol=0.2)
-        )
+        rep = diag.detect_convergence(tr.final_state, tr.status, diag.Thresholds(w_match_tol=0.2))
         assert rep.verdict == "Soliton"
         assert rep.partition == [1]
         assert rep.residuals["profile_residual"] < 1e-2
@@ -204,7 +228,7 @@ class TestDetectConvergence:
         cfg = fl.FlowConfig(divisor=d, n_lat=128, n_lon=1, eps=0.05, dt=0.01,
                             t_max=40.0, sample_every=0.5, auto_stop=True)
         tr = fl.run(cfg)
-        rep = diag.detect_convergence(tr, tr.final_state, d)
+        rep = diag.detect_convergence(tr.final_state, tr.status)
         assert rep.verdict == "Football"
         assert rep.partition == [1]
         assert rep.clusters == [[0], [1]]
@@ -213,7 +237,7 @@ class TestDetectConvergence:
         # at eps = 0.05 the unstable run flattens onto the regularized
         # minimizer; the detector must refuse the forbidden CC verdict
         tr = shipped_runs["unstable"]
-        rep = diag.detect_convergence(tr, tr.final_state, tr.final_state.grid.divisor)
+        rep = diag.detect_convergence(tr.final_state, tr.status)
         assert rep.verdict == "Undecided"
         assert "flat_curvature_artifact" in rep.caveats
         assert rep.clusters == [[0, 1], [2]]

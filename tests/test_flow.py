@@ -2,6 +2,7 @@ import json
 import math
 import types
 from dataclasses import replace
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -12,14 +13,14 @@ from conicflow import cli
 from conicflow import flow as fl
 from conicflow import functionals as fn
 from conicflow import geometry as geo
-from conicflow.marked_sphere import Divisor
+from conicflow.marked_sphere import Divisor, classify_stability
 from conftest import (
     shipped_config,
     shipped_config_path,
     shipped_divisor,
     skew_factors_from_third_solve,
 )
-from oracles import distances_from, f_beta_rate_oracle
+from oracles import distances_from, f_beta_rate_oracle, read_trace
 
 
 def one_step(state, dt):
@@ -107,12 +108,21 @@ class TestConfig:
             div = Divisor(rng.uniform(0.05, 0.95, 3), rng.standard_normal((3, 3)))
             cfg = small_config(divisor=div)
             assert fl.FlowConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        # exact weights stay exact; the second divisor is Unstable by exact
+        # arithmetic but SemiStable under the float tolerance
+        for weights, cls in (([F(1, 3), F(1, 3), F(2, 3)], "SemiStable"),
+                             ([F(1, 4), F(1, 4), F(1, 2) + F(1, 10**15)], "Unstable"),
+                             ([F(1, 3), F(2, 7), F(3, 11), F(5, 13)], "Stable")):
+            cfg = small_config(divisor=Divisor(weights, rng.standard_normal((len(weights), 3))))
+            back = fl.FlowConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+            assert back == cfg
+            assert str(classify_stability(back.divisor)) == cls
 
 
 class TestStep:
     def test_round_sphere_is_stationary(self):
         grid = geo.build_grid(32, 64)
-        st = geo.make_state(geo.background_metric(grid, None, 0.1))
+        st = geo.make_state(geo.background_metric(grid, grid.divisor, 0.1))
         st3 = one_step(st, 0.05)
         assert np.abs(st3.u).max() < 1e-10
 
@@ -136,7 +146,7 @@ class TestStep:
     def test_curvature_smoothing_round(self):
         # a smooth bump on the round sphere relaxes monotonically to R = 1
         grid = geo.build_grid(32, 64)
-        bg = geo.background_metric(grid, None, 0.1)
+        bg = geo.background_metric(grid, grid.divisor, 0.1)
         th = np.repeat(grid.theta, grid.n_lon)
         state = geo.make_state(bg, 0.4 * np.cos(2 * th))
         state, _ = fl.renormalize(state)
@@ -155,13 +165,13 @@ class TestStep:
 class TestRenormalize:
     def test_noop_when_normalized(self):
         grid = geo.build_grid(32, 64)
-        st = geo.make_state(geo.background_metric(grid, None, 0.1))
+        st = geo.make_state(geo.background_metric(grid, grid.divisor, 0.1))
         _, c = fl.renormalize(st)
         assert abs(c) < 1e-12
 
     def test_log_two_shift(self):
         grid = geo.build_grid(32, 64)
-        st = geo.make_state(geo.background_metric(grid, None, 0.1), np.full(grid.n, math.log(2.0)))
+        st = geo.make_state(geo.background_metric(grid, grid.divisor, 0.1), np.full(grid.n, math.log(2.0)))
         st2, c = fl.renormalize(st)
         assert c == pytest.approx(-math.log(2.0), abs=1e-12)
         assert st2.area() == pytest.approx(2.0, abs=1e-12)
@@ -215,7 +225,7 @@ class TestRun:
         fd = (fb[mid + 1] - fb[mid - 1]) / (times[mid + 1] - times[mid - 1])
         # oracle needs the state at the midpoint: integrate up to it
         n_steps = round(times[mid] / cfg.dt)
-        state = geo.make_state(bg, fl._initial_field(cfg, bg.grid, bg))
+        state = geo.make_state(bg, fl._initial_field(cfg, bg))
         state, _ = fl.renormalize(state)
         stepper = fl._ImplicitStepper(bg)
         for _ in range(n_steps):
@@ -263,14 +273,15 @@ class TestRun:
         tr = fl.run(small_config(t_max=0.4))
         path = tmp_path / "trace.csv"
         tr.to_csv(str(path))
-        tr2 = fl.FlowTrace.from_csv(str(path))
-        assert np.array_equal(tr2.times, tr.times)
+        cols = read_trace(str(path))
+        assert np.array_equal(cols.pop("time"), tr.times)
+        assert list(cols) == tr.column_names()
         for name in tr.columns:
-            assert np.array_equal(tr2[name], tr[name])
+            assert np.array_equal(cols[name], tr[name])
 
     def test_snapshots_recorded(self):
         tr = fl.run(small_config(snapshot_every=0.5, t_max=1.0))
-        snaps = tr.meta["snapshots"]
+        snaps = tr.snapshots
         assert len(snaps) == 2
         assert snaps[0][0] == pytest.approx(0.5)
 
@@ -316,7 +327,7 @@ class TestImplicitStepper:
         solve."""
         grid = fl.build_run_grid(cfg)
         bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
-        state, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, grid, bg)))
+        state, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, bg)))
         stepper = fl._ImplicitStepper(bg)
         ref = types.SimpleNamespace(L=grid.L, ordering=grid.ordering, lu=None, d_ref=None)
         real_solve = stepper.solve
@@ -411,7 +422,7 @@ class TestImplicitStepper:
         monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=splu))
         monkeypatch.setattr(fl, "_malloc_trim", lambda pad: events.append("trim"))
         grid = geo.build_axis_grid(4096)
-        fl._ImplicitStepper(geo.background_metric(grid, None, 0.01))
+        fl._ImplicitStepper(geo.background_metric(grid, grid.divisor, 0.01))
         assert events == ["COLAMD", "trim"]
 
     def test_skewed_factor_fails_after_rule_fired(self, capsys, tmp_path, monkeypatch):
@@ -435,8 +446,8 @@ class TestImplicitStepper:
         assert manifest["solver"]["backsolves"] == 19
         assert manifest["solver"]["worst_residual"] > 1e-9
 
-    def test_counters_reach_trace_meta(self):
-        solver = fl.run(small_config(t_max=0.2)).meta["solver"]
+    def test_counters_reach_the_trace(self):
+        solver = fl.run(small_config(t_max=0.2)).solver
         assert 0 < solver["factorizations"] <= solver["backsolves"]
         assert solver["floor_above_target"] is False
         assert 0.0 < solver["worst_residual"] <= 1e-12
@@ -464,7 +475,7 @@ class TestOrdering:
         if cfg.axisymmetric:
             # the 1-D stepper takes the grid's ordering once per run, for
             # its pattern, and factors the pre-permuted matrix in natural order
-            factorizations = tr.meta["solver"]["factorizations"]
+            factorizations = tr.solver["factorizations"]
             assert factorizations >= 2
             assert stepper == [ordering] + ["NATURAL"] * factorizations
         else:
@@ -472,7 +483,7 @@ class TestOrdering:
         # the grounded L[1:, 1:] always takes the grid's ordering
         assert set(grounded) == {ordering}
         assert len(stepper) + len(grounded) == len(calls)
-        assert tr.meta["solver"]["ordering"] == ordering
+        assert tr.solver["ordering"] == ordering
 
     def test_minimum_degree_solves_agree_with_colamd(self, monkeypatch):
         # measured on this run: stepper solves within 9.8e-13 of a fresh
@@ -497,7 +508,7 @@ class TestOrdering:
         monkeypatch.setattr(fl._ImplicitStepper, "solve", solve)
         monkeypatch.setattr(geo.SphereGrid, "ground_solve", ground_solve)
         tr = fl.run(small_config(initial="bump", seed=2))
-        assert tr.meta["solver"]["ordering"] == "MMD_AT_PLUS_A"
+        assert tr.solver["ordering"] == "MMD_AT_PLUS_A"
         assert len(gaps["stepper"]) == 100 and gaps["grounded"]
         assert max(gaps["stepper"]) <= 2e-12
         assert max(gaps["grounded"]) <= 5e-13
@@ -531,7 +542,7 @@ class TestSharedGeodesicPass:
     def bumped_state(cfg):
         grid = geo.build_grid(cfg.n_lat, cfg.n_lon, cfg.divisor)
         bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
-        return geo.make_state(bg, fl._initial_field(cfg, grid, bg))
+        return geo.make_state(bg, fl._initial_field(cfg, bg))
 
     def test_one_pass_per_sample_record(self, counts):
         cfg = small_config(initial="bump", seed=4)
@@ -548,7 +559,7 @@ class TestSharedGeodesicPass:
         cfg = small_config(initial="bump", seed=4)
         state = self.bumped_state(cfg)
         counts["nearest_node"] = 0  # the grid's own lookups at build time
-        diag.detect_convergence(None, state, cfg.divisor)
+        diag.detect_convergence(state)
         assert counts == {"edge_graph": 1, "dijkstra": 1, "nearest_node": 0}
 
 
@@ -573,8 +584,8 @@ class TestAxisymmetric:
         n_lat = 32
         grid2 = geo.build_grid(n_lat, 64)
         grid1 = geo.build_axis_grid(n_lat)
-        bg2 = geo.background_metric(grid2, None, 0.1)
-        bg1 = geo.background_metric(grid1, None, 0.1)
+        bg2 = geo.background_metric(grid2, grid2.divisor, 0.1)
+        bg1 = geo.background_metric(grid1, grid1.divisor, 0.1)
         u0 = 0.3 * np.cos(2 * grid1.theta)
         s1 = geo.make_state(bg1, u0.copy())
         s2 = geo.make_state(bg2, np.repeat(u0, 64))

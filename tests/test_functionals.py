@@ -36,30 +36,33 @@ def smooth_field(grid, seed=0, amp=0.3):
 
 class TestRicciPotential:
     def test_round_sphere_zero(self, round_state):
-        rp = fn.ricci_potential(round_state)
-        assert np.abs(rp.v).max() < 1e-10
-        assert rp.normalization_residual < 1e-8
+        v = fn.ricci_potential(round_state)
+        assert np.abs(v).max() < 1e-10
+        assert abs(geo.integrate(np.exp(-v), round_state) - 2.0) < 1e-8
 
     def test_normalization(self, conic_state):
-        rp = fn.ricci_potential(conic_state)
-        assert geo.integrate(np.exp(-rp.v), conic_state) == pytest.approx(2.0, abs=1e-8)
+        v = fn.ricci_potential(conic_state)
+        assert geo.integrate(np.exp(-v), conic_state) == pytest.approx(2.0, abs=1e-8)
 
     def test_poisson_identity_away_from_cones(self, conic_state):
-        rp = fn.ricci_potential(conic_state)
-        lhs = laplacian(rp.v, conic_state)
+        v = fn.ricci_potential(conic_state)
+        lhs = laplacian(v, conic_state)
         rhs = conic_state.conical_curvature - 0.5 * conic_state.background.chi()
-        resid = lhs - (rhs - rp.mean_correction)
+        # the solvability correction: the metric mean of the rhs (the
+        # resolved cone mass), which the solve removes
+        mean_correction = geo.integrate(rhs, conic_state) / conic_state.area()
+        resid = lhs - (rhs - mean_correction)
         assert np.abs(resid).max() < 1e-8
 
     def test_constant_curvature_state_small_v(self, football_control_beta06):
         # the discretization's own football: v is constant away from the
         # smoothed cores up to the eps/grid floor
         st = football_control_beta06
-        rp = fn.ricci_potential(st)
+        v = fn.ricci_potential(st)
         far = np.ones(st.grid.n, bool)
         for p in st.grid.marked_points:
             far &= distances_from(st, p) > 0.3
-        v_far = rp.v[far]
+        v_far = v[far]
         assert v_far.max() - v_far.min() < 0.02
 
 
@@ -143,8 +146,7 @@ class TestWFunctional:
 
     def test_football_profile_state_entropy(self, football_control_beta06):
         st = football_control_beta06
-        rp = fn.ricci_potential(st)
-        w = fn.normalized_w(st, -rp.v)
+        w = fn.normalized_w(st, -fn.ricci_potential(st))
         assert w == pytest.approx(1.0, abs=0.02)
 
 
@@ -155,8 +157,7 @@ class TestMuEstimate:
         assert est.tag == "upper-bound estimate"
 
     def test_upper_bounds_candidate(self, conic_state):
-        rp = fn.ricci_potential(conic_state)
-        cand = fn.normalized_w(conic_state, -rp.v)
+        cand = fn.normalized_w(conic_state, -fn.ricci_potential(conic_state))
         est = mu_estimate(conic_state, budget=50)
         assert est.value <= cand + 1e-10
 
@@ -225,14 +226,14 @@ class TestSolitonResidual:
         grid = geo.build_axis_grid(1024, d)
         bg = geo.background_metric(grid, d, 0.005)
         st = diag.profile_state(bg, sol.soliton_profile(0.8, 0.3))
-        rp = fn.ricci_potential(st)
-        spread = rp.v.max() - rp.v.min()
+        v = fn.ricci_potential(st)
+        spread = v.max() - v.min()
         assert spread > 1.0  # genuinely non-constant potential
-        r_sol = fn.soliton_residual(st, rp.v, marked_point_rows(st))
+        r_sol = fn.soliton_residual(st, v, marked_point_rows(st))
         # a non-soliton state of comparable potential spread for scale
         st2 = geo.make_state(bg, np.cos(np.repeat(grid.theta, 1)))
-        rp2 = fn.ricci_potential(st2)
-        assert r_sol < 0.05 * fn.soliton_residual(st2, rp2.v, marked_point_rows(st2))
+        v2 = fn.ricci_potential(st2)
+        assert r_sol < 0.05 * fn.soliton_residual(st2, v2, marked_point_rows(st2))
 
 
 class TestRateOracle:

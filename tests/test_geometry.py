@@ -188,6 +188,24 @@ class TestLaplacian:
             lam /= geo.integrate(f * f, round_state)
             assert lam == pytest.approx(1.0, rel=0.02)
 
+    def test_second_order_away_from_the_poles(self):
+        # manufactured solutions: the first harmonics satisfy Lap Y = -Y in
+        # paper units, so Lap Y + Y is the stencil's truncation error.  On
+        # theta in [0.3, pi - 0.3] it falls ~4x per doubling (1.1e-3, 2.8e-4,
+        # 7.2e-5 for cos theta); the pole rows are excluded, because there
+        # the closure is not consistent (see curvature_stats)
+        errors = []
+        for n_lat in (32, 64, 128):
+            grid = geo.build_grid(n_lat, 2 * n_lat)
+            st = geo.make_state(geo.background_metric(grid, grid.divisor, 0.1))
+            th = np.repeat(grid.theta, grid.n_lon)
+            et = np.tile(grid.eta, grid.n_lat)
+            band = (th >= 0.3) & (th <= math.pi - 0.3)
+            errors.append([np.abs(laplacian(y, st) + y)[band].max()
+                           for y in (np.cos(th), np.sin(th) * np.cos(et))])
+        errors = np.array(errors)
+        assert np.all(errors[:-1] / errors[1:] >= 3.5), errors
+
     def test_mismatched_field_rejected(self, round_state):
         with pytest.raises(ValueError):
             laplacian(np.zeros(7), round_state)
@@ -468,7 +486,7 @@ class TestSharedRows:
         st = make_state()
         rows = geo.geodesic_rows(st, st.grid.diameter_nodes)
         one = self.one_source_rows(st, st.grid.marked_nodes)
-        v = fn.ricci_potential(st).v
+        v = fn.ricci_potential(st)
         assert fn.soliton_residual(st, v, rows) == fn.soliton_residual(st, v, one)
         assert diag.curvature_stats(st, 0.25, rows) == diag.curvature_stats(st, 0.25, one)
         assert diag.marked_point_clusters(st, 0.1, rows)[0] == (
