@@ -4,8 +4,8 @@ Gromov-Hausdorff convergence is operationalized, not computed: marked-point
 cluster distances, curvature statistics away from the smoothed cone cores,
 curvature-versus-cumulative-area profile matching (a parametrization-free
 comparison, immune to the conformal gauge drift along soliton orbits), and
-entropy matching against the closed-form partition table.  All thresholds
-are shipped defaults and adjustable.
+entropy matching against the closed-form partition table.  The verdict's
+thresholds are the module constants below; every report lists them.
 """
 
 from __future__ import annotations
@@ -25,18 +25,14 @@ from .marked_sphere import Divisor, StabilityClass, classify_stability, enumerat
 PROFILE_BINS = 64
 
 
-@dataclass
-class Thresholds:
-    curvature_flat_tol: float = 5e-2
-    cluster_tol: float = 0.1
-    delta_exclusion: float = 0.25  # raised to 2*eps when eps is larger
-    w_match_tol: float = 5e-2
-    residual_factor: float = 3.0  # vs the exact football control floor
-    profile_margin: float = 0.15  # cumulative-area margin cut at both cone ends
-    profile_tol: float = 0.2
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
+# verdict thresholds, listed in this order in every report
+CURVATURE_FLAT_TOL = 5e-2
+CLUSTER_TOL = 0.1
+DELTA_EXCLUSION = 0.25  # raised to 2*eps when eps is larger
+W_MATCH_TOL = 5e-2
+RESIDUAL_FACTOR = 3.0  # vs the exact football control floor
+PROFILE_MARGIN = 0.15  # cumulative-area margin cut at both cone ends
+PROFILE_TOL = 0.2
 
 
 def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows: dict) -> dict:
@@ -160,7 +156,7 @@ def curvature_area_curve(state: geo.MetricState, dist: np.ndarray):
 
 
 def compare_to_profile(
-    state: geo.MetricState, profile: sol.RadialProfile, rows: dict, margin: float = 0.15
+    state: geo.MetricState, profile: sol.RadialProfile, rows: dict, margin: float
 ) -> float:
     """RMS mismatch between the state's curvature-vs-area curve and the
     profile's, measured from the deepest cone point; ``rows`` covers the
@@ -226,9 +222,6 @@ def football_control_state(
     """
     from . import flow as fl  # deferred: flow imports this module
 
-    if beta <= 0.0:
-        grid = geo.build_grid(n_lat, n_lon)
-        return geo.make_state(geo.background_metric(grid, grid.divisor, eps))
     if n_lon == 1:
         div = Divisor([beta, beta], [[0, 0, 1.0], [0, 0, -1.0]])
     else:
@@ -299,9 +292,7 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def detect_convergence(
-    final_state: geo.MetricState, status: str = "unknown", thresholds: Thresholds = None
-) -> ConvergenceReport:
+def detect_convergence(final_state: geo.MetricState, status: str = "unknown") -> ConvergenceReport:
     """Classify the terminal state of a run; ``status`` is the run's, and
     is reported as a caveat.
 
@@ -315,12 +306,11 @@ def detect_convergence(
     """
     import warnings
 
-    th = thresholds or Thresholds()
     bg, divisor = final_state.background, final_state.grid.divisor
-    delta = max(th.delta_exclusion, 2.0 * bg.eps)
+    delta = max(DELTA_EXCLUSION, 2.0 * bg.eps)
     rows = geo.geodesic_rows(final_state, final_state.grid.marked_nodes)
     stats = curvature_stats(final_state, delta, rows)
-    clusters, dmat = marked_point_clusters(final_state, th.cluster_tol, rows)
+    clusters, dmat = marked_point_clusters(final_state, CLUSTER_TOL, rows)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # k = 2 limit targets
         dclass = classify_stability(divisor) if divisor.k else StabilityClass.STABLE
@@ -336,7 +326,7 @@ def detect_convergence(
     partition = None
     residuals["sup_dev_half_chi"] = stats["sup_dev_half_chi"]
 
-    if stats["sup_dev_half_chi"] < th.curvature_flat_tol:
+    if stats["sup_dev_half_chi"] < CURVATURE_FLAT_TOL:
         if dclass is StabilityClass.SEMI_STABLE and len(clusters) == 2:
             verdict = "Football"
             partition = clusters[-1]
@@ -361,7 +351,7 @@ def detect_convergence(
                 if not ld.valid:
                     continue
                 prof = sol.soliton_profile(ld.beta_p, ld.beta_q)
-                r = compare_to_profile(final_state, prof, rows, margin=th.profile_margin)
+                r = compare_to_profile(final_state, prof, rows, PROFILE_MARGIN)
                 if best is None or r < best[0]:
                     best = (r, ld, prof)
             if best is not None:
@@ -372,9 +362,9 @@ def detect_convergence(
                 floor = _residual_floor(final_state, prof)
                 residuals["soliton_residual_floor"] = floor
                 if (
-                    resid < th.residual_factor * max(floor, 1e-12)
-                    and r < th.profile_tol
-                    and residuals["w_gap"] < th.w_match_tol
+                    resid < RESIDUAL_FACTOR * max(floor, 1e-12)
+                    and r < PROFILE_TOL
+                    and residuals["w_gap"] < W_MATCH_TOL
                 ):
                     verdict = "Soliton"
                     partition = sorted(ld.partition)
@@ -386,7 +376,10 @@ def detect_convergence(
         cluster_distances=dmat.tolist(),
         residuals=residuals,
         partition=partition,
-        thresholds=th.as_dict(),
+        thresholds={"curvature_flat_tol": CURVATURE_FLAT_TOL, "cluster_tol": CLUSTER_TOL,
+                    "delta_exclusion": DELTA_EXCLUSION, "w_match_tol": W_MATCH_TOL,
+                    "residual_factor": RESIDUAL_FACTOR, "profile_margin": PROFILE_MARGIN,
+                    "profile_tol": PROFILE_TOL},
         caveats=caveats,
         divisor_class=str(dclass),
     )

@@ -26,20 +26,6 @@ from .geometry import BackgroundMetric, MetricState, dirichlet_energy, grad_sq_f
 # ----------------------------------------------------------------------
 
 
-def _poisson(grid, masses, rhs):
-    """Solve Lap v = rhs for the metric with node masses ``masses``.
-
-    The rhs is first shifted to have zero metric mean (the shift is the
-    solvability correction); the additive constant of v is left at v[0] = 0
-    for the caller to fix by normalization.
-    """
-    total = float(np.sum(masses))
-    correction = float(np.sum(rhs * masses)) / total
-    b = -(rhs - correction) * masses
-    b -= b.sum() / b.size  # keep the grounded solve consistent to round-off
-    return grid.ground_solve(b)
-
-
 def ricci_potential(state: MetricState) -> np.ndarray:
     """The Ricci potential v: Lap v = R - chi/2 (mean-corrected), normalized
     by int e^(-v) dg = 2.
@@ -47,7 +33,7 @@ def ricci_potential(state: MetricState) -> np.ndarray:
     R here is the smooth-part (conical) curvature, so at a conical
     constant-curvature state v vanishes away from the cone cores."""
     rhs = state.conical_curvature - 0.5 * state.background.chi()
-    v = _poisson(state.grid, state.mass, rhs)
+    v = state.grid.poisson(state.mass, rhs)
     return v + math.log(integrate(np.exp(-v), state) / 2.0)
 
 
@@ -58,19 +44,13 @@ def recover_potential(state: MetricState) -> np.ndarray:
     bg = state.background
     area = state.area()
     rhs = np.exp(state.u) * (2.0 / area) - 1.0
-    phi = _poisson(state.grid, bg.mass, rhs)
+    phi = state.grid.poisson(bg.mass, rhs)
     phi -= np.sum(phi * bg.mass) / 2.0
     return phi
 
 
 def h_background(bg: BackgroundMetric) -> np.ndarray:
-    """Ricci potential h of the background: Lap_bg h = R_bg - chi/2
-    (mean-corrected), normalized by int e^h dg_bg = 2.  Cached on bg."""
-    if bg.h is None:
-        rhs = bg.R - bg.cone_term - 0.5 * bg.chi()
-        h = _poisson(bg.grid, bg.mass, rhs)
-        h += math.log(2.0 / float(np.sum(np.exp(h) * bg.mass)))
-        bg.h = h
+    """Ricci potential h of the background (:attr:`BackgroundMetric.h`)."""
     return bg.h
 
 

@@ -27,7 +27,8 @@ parts to zero against the stencil.
 A :class:`MetricState` is an immutable value: its conformal factor is
 read-only, and its mass and its two curvature fields (``scalar_curvature``
 and ``conical_curvature``) are computed once, on first use, however many
-monitors read them.  The background's mass is kept the same way.
+monitors read them.  Grids and backgrounds are immutable values too, built
+whole; their derived fields are computed once, on first use.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def angles_from_vec(p):
     return theta, eta
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SphereGrid:
     """Latitude-longitude grid; ``n_lon == 1`` is the axisymmetric reduction.
 
@@ -105,9 +106,11 @@ class SphereGrid:
     weights are exact cell areas of the round area-2 background, so constants
     integrate exactly.  ``L`` is the positive semi-definite stiffness matrix
     of the calibrated Dirichlet form (kernel = constants), shared by every
-    conformal metric on the grid.  The builders find the marked points'
-    nodes and the diameter's source nodes once; the distance monitors read
-    :func:`geodesic_rows` by these nodes and never map a point to a node.
+    conformal metric on the grid.  A grid is an immutable value, built
+    whole by :func:`build_grid` or :func:`build_axis_grid`, which find the
+    marked points' nodes and the diameter's source nodes once; the distance
+    monitors read :func:`geodesic_rows` by these nodes and never map a point
+    to a node.  The grounded factor of ``L`` is computed on first use.
     """
 
     n_lat: int
@@ -116,17 +119,16 @@ class SphereGrid:
     eta: np.ndarray
     w: np.ndarray  # (N,) cell areas, sum = 2 exactly
     L: sp.csr_matrix = field(repr=False)
-    divisor: Divisor = None
-    marked_points: np.ndarray = None  # possibly nudged copies of the positions
-    marked_nodes: list = None  # nearest node of each marked point, in order
-    diameter_nodes: list = None  # sources of :func:`diameter_estimate`
-    nudges: list = field(default_factory=list)
-    edge_a: np.ndarray = field(default=None, repr=False)
-    edge_b: np.ndarray = field(default=None, repr=False)
-    edge_len_bg: np.ndarray = field(default=None, repr=False)
-    pole_edge_node: np.ndarray = field(default=None, repr=False)
-    pole_edge_len: np.ndarray = field(default=None, repr=False)
-    _ground_lu: object = field(default=None, repr=False)
+    # the geodesic graph's fixed pattern on N + 2 nodes (two pole hubs),
+    # its data the round background's edge lengths, and each slot's two end
+    # nodes (a hub link's are its pole node twice)
+    graph: sp.csr_matrix = field(repr=False)
+    graph_ends: np.ndarray = field(repr=False)
+    divisor: Divisor
+    marked_points: np.ndarray  # possibly nudged copies of the positions
+    nudges: tuple  # (index, offset) of each nudged marked point
+    marked_nodes: list  # nearest node of each marked point, in order
+    diameter_nodes: list  # sources of :func:`diameter_estimate`
 
     @property
     def n(self) -> int:
@@ -167,42 +169,43 @@ class SphereGrid:
         return vec_from_angles(th, et)
 
     def nearest_node(self, point) -> int:
-        p = np.asarray(point, dtype=float)
-        p = p / np.linalg.norm(p)
-        theta, eta = angles_from_vec(p)
-        i = int(np.clip(round(theta / self.h_theta - 0.5), 0, self.n_lat - 1))
-        if self.n_lon == 1:
-            return i
-        h_eta = TWO_PI / self.n_lon
-        j = int(round(eta / h_eta)) % self.n_lon
-        return self.node_index(i, j)
+        return _nearest_node(self.n_lat, self.n_lon, point)
+
+    @cached_property
+    def _ground_lu(self):
+        return spla.splu(self.L[1:, 1:].tocsc(), permc_spec=self.ordering)
 
     def ground_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve L x = b (consistent b) with x at node 0 pinned to zero,
         against one LU of ``L[1:, 1:]`` in the grid's ``ordering``."""
-        if self._ground_lu is None:
-            lg = self.L[1:, 1:].tocsc()
-            self._ground_lu = spla.splu(lg, permc_spec=self.ordering)
         x = np.zeros(self.n)
         x[1:] = self._ground_lu.solve(b[1:])
         return x
 
+    def poisson(self, masses: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve Lap v = rhs for the metric with node masses ``masses``,
+        after shifting the rhs to zero metric mean (the solvability
+        correction); v[0] = 0, for the caller to normalize."""
+        total = float(np.sum(masses))
+        correction = float(np.sum(rhs * masses)) / total
+        b = -(rhs - correction) * masses
+        b -= b.sum() / b.size  # keep the grounded solve consistent to round-off
+        return self.ground_solve(b)
+
+
+def _nearest_node(n_lat: int, n_lon: int, point) -> int:
+    p = np.asarray(point, dtype=float)
+    p = p / np.linalg.norm(p)
+    theta, eta = angles_from_vec(p)
+    i = int(np.clip(round(theta / (math.pi / n_lat) - 0.5), 0, n_lat - 1))
+    if n_lon == 1:
+        return i
+    j = int(round(eta / (TWO_PI / n_lon))) % n_lon
+    return i * n_lon + j
+
 
 #: the six coordinate-axis points, sources of :func:`diameter_estimate`
 AXIS_POINTS = ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1])
-
-
-def _place_marked_points(grid: SphereGrid, points: np.ndarray) -> None:
-    """Set the marked points and the nodes the distance monitors read: each
-    marked point's nearest node, and the diameter's sources (the axis nodes
-    and the marked nodes, without repeats).  Two marked points with one
-    nearest node are rejected: the grid could not tell them apart."""
-    grid.marked_points = points
-    grid.marked_nodes = [grid.nearest_node(p) for p in points]
-    if len(set(grid.marked_nodes)) != len(grid.marked_nodes):
-        raise ValueError("two marked points fall inside one grid cell (share a nearest node)")
-    axes = [grid.nearest_node(p) for p in AXIS_POINTS]
-    grid.diameter_nodes = list(dict.fromkeys(axes + grid.marked_nodes))
 
 
 def build_grid(n_lat: int, n_lon: int, divisor: Divisor = Divisor([])) -> SphereGrid:
@@ -217,25 +220,23 @@ def build_grid(n_lat: int, n_lon: int, divisor: Divisor = Divisor([])) -> Sphere
         raise ValueError(
             f"resolution too small: need n_lat >= {MIN_N_LAT} and n_lon >= {MIN_N_LON}"
         )
-    grid = _assemble_grid(n_lat, n_lon)
-    grid.divisor = divisor
+    h_theta, h_eta = math.pi / n_lat, TWO_PI / n_lon
     pts = divisor.positions.copy()
-    h_eta = TWO_PI / n_lon
-    nodes = grid.positions()
+    nudges = []
     for idx in range(divisor.k):
         theta, eta = angles_from_vec(pts[idx])
         if min(theta, math.pi - theta) < 1e-12:
-            new_theta = grid.h_theta / 2 if theta < 1e-12 else math.pi - grid.h_theta / 2
+            new_theta = h_theta / 2 if theta < 1e-12 else math.pi - h_theta / 2
             pts[idx] = vec_from_angles(new_theta, 0.0)
-            grid.nudges.append((idx, grid.h_theta / 2))
+            nudges.append((idx, h_theta / 2))
             continue
-        node = grid.nearest_node(pts[idx])
-        ang = math.acos(float(np.clip(np.dot(pts[idx], nodes[node]), -1, 1)))
+        i, j = divmod(_nearest_node(n_lat, n_lon, pts[idx]), n_lon)
+        node = vec_from_angles((i + 0.5) * h_theta, j * h_eta)
+        ang = math.acos(float(np.clip(np.dot(pts[idx], node), -1, 1)))
         if ang < 1e-9:
             pts[idx] = vec_from_angles(theta, eta + 0.5 * h_eta)
-            grid.nudges.append((idx, 0.5 * h_eta))
-    _place_marked_points(grid, pts)
-    return grid
+            nudges.append((idx, 0.5 * h_eta))
+    return _assemble_grid(n_lat, n_lon, divisor, pts, tuple(nudges))
 
 
 def build_axis_grid(n_lat: int, divisor: Divisor = Divisor([])) -> SphereGrid:
@@ -254,13 +255,21 @@ def build_axis_grid(n_lat: int, divisor: Divisor = Divisor([])) -> SphereGrid:
             raise ValueError("axisymmetric marked points must sit at the poles")
     if divisor.k == 2 and divisor.positions[0][2] * divisor.positions[1][2] > 0:
         raise ValueError("two axisymmetric marked points must be at opposite poles")
-    grid = _assemble_grid(n_lat, 1)
-    grid.divisor = divisor
-    _place_marked_points(grid, divisor.positions.copy())
-    return grid
+    return _assemble_grid(n_lat, 1, divisor, divisor.positions.copy(), ())
 
 
-def _assemble_grid(n_lat: int, n_lon: int) -> SphereGrid:
+def _assemble_grid(
+    n_lat: int, n_lon: int, divisor: Divisor, points: np.ndarray, nudges: tuple
+) -> SphereGrid:
+    """The grid with these (nudged) marked ``points``, their nearest nodes
+    and the diameter's sources: the axis nodes and the marked nodes, without
+    repeats.  Two marked points with one nearest node are rejected."""
+    marked_nodes = [_nearest_node(n_lat, n_lon, p) for p in points]
+    if len(set(marked_nodes)) != len(marked_nodes):
+        raise ValueError("two marked points fall inside one grid cell (share a nearest node)")
+    axes = [_nearest_node(n_lat, n_lon, p) for p in AXIS_POINTS]
+    diameter_nodes = list(dict.fromkeys(axes + marked_nodes))
+
     h_theta = math.pi / n_lat
     theta = (np.arange(n_lat) + 0.5) * h_theta
     faces = np.arange(n_lat + 1) * h_theta  # cell boundaries, poles included
@@ -273,7 +282,6 @@ def _assemble_grid(n_lat: int, n_lon: int) -> SphereGrid:
     w = w2d.ravel()
 
     m = _mercator(theta)
-    m_cell = _mercator(np.clip(faces, 1e-300, None))  # faces[0]=0 handled below
 
     n = n_lat * n_lon
     idx = np.arange(n).reshape(n_lat, n_lon)
@@ -283,9 +291,10 @@ def _assemble_grid(n_lat: int, n_lon: int) -> SphereGrid:
     ek = [np.repeat((1.0 / FOUR_PI) * h_eta / (m[1:] - m[:-1]), n_lon)]
     # zonal edges: cell height in Mercator over cell width
     if n_lon > 1:
-        dm = m_cell[1:] - m_cell[:-1]
-        dm[0] = m_cell[1] - m[0]  # pole cap: resistance taken from the node
-        dm[-1] = m[-1] - m_cell[n_lat - 1]
+        # the interior faces only: at the poles the Mercator coordinate is
+        # infinite, and the two pole caps take their height from the node
+        m_face = _mercator(faces[1:-1])
+        dm = np.concatenate([[m_face[0] - m[0]], np.diff(m_face), [m[-1] - m_face[-1]]])
         ea.append(idx.ravel()), eb.append(east.ravel())
         ek.append(np.repeat((1.0 / FOUR_PI) * dm / h_eta, n_lon))
     a, b, k = (np.concatenate(e) for e in (ea, eb, ek))
@@ -294,9 +303,7 @@ def _assemble_grid(n_lat: int, n_lon: int) -> SphereGrid:
     rows = np.stack([a, b, a, b], axis=1).ravel()
     cols = np.stack([b, a, a, b], axis=1).ravel()
     vals = np.stack([-k, -k, k, k], axis=1).ravel()
-
     L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    grid = SphereGrid(n_lat, n_lon, theta, eta, w, L)
 
     # Dijkstra edge set: 4-neighbors plus diagonals, plus virtual pole hubs
     r = math.sqrt(ROUND_R2)
@@ -318,18 +325,23 @@ def _assemble_grid(n_lat: int, n_lon: int) -> SphereGrid:
         eb = np.concatenate([south.ravel(), east[-1]])
         el = np.concatenate([south_len.ravel(), np.full(n_lon, zonal[-1])])
         pole_nodes = np.concatenate([idx[0], idx[-1]])
-        pole_len = np.full(2 * n_lon, r * h_theta / 2.0)
     else:
         ea, eb = np.arange(n_lat - 1), np.arange(1, n_lat)
         el = np.full(n_lat - 1, r * h_theta)
         pole_nodes = np.array([0, n_lat - 1])
-        pole_len = np.full(2, r * h_theta / 2.0)
-    grid.edge_a = np.asarray(ea, dtype=np.int32)
-    grid.edge_b = np.asarray(eb, dtype=np.int32)
-    grid.edge_len_bg = np.asarray(el)
-    grid.pole_edge_node = pole_nodes.astype(np.int32)
-    grid.pole_edge_len = pole_len
-    return grid
+    # hub n links the north row, hub n + 1 the south row, at half a row
+    hubs = np.repeat([n, n + 1], pole_nodes.size // 2)
+    graph = sp.coo_matrix(
+        (np.concatenate([el, np.full(pole_nodes.size, r * h_theta / 2.0)]),
+         (np.concatenate([ea, hubs]).astype(np.int32),
+          np.concatenate([eb, pole_nodes]).astype(np.int32))),
+        shape=(n + 2, n + 2),
+    ).tocsr()
+    # a hub slot's weight (len / 2) * (s + s) equals len * s exactly
+    slot_rows = np.repeat(np.arange(n + 2, dtype=np.int32), np.diff(graph.indptr))
+    graph_ends = np.stack([np.where(slot_rows < n, slot_rows, graph.indices), graph.indices])
+    return SphereGrid(n_lat, n_lon, theta, eta, w, L, graph, graph_ends,
+                      divisor, points, nudges, marked_nodes, diameter_nodes)
 
 
 # ----------------------------------------------------------------------
@@ -337,7 +349,7 @@ def _assemble_grid(n_lat: int, n_lon: int) -> SphereGrid:
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BackgroundMetric:
     """Epsilon-smoothed conical reference metric, area-normalized to 2.
 
@@ -348,8 +360,9 @@ class BackgroundMetric:
     smooth-part curvature R - e^-u cone_term, which integrates to chi; the
     difference between sum(beta) and the quadrature of the bump is the
     unresolved cone mass, which the flow reports as area drift
-    (``renorm_drift``).  ``h`` caches the background's Ricci potential,
-    filled by :func:`conicflow.functionals.h_background`.
+    (``renorm_drift``).  A background is an immutable value, built whole by
+    :func:`background_metric`; its mass and its Ricci potential ``h`` are
+    computed once, on first use.
     """
 
     grid: SphereGrid
@@ -359,11 +372,19 @@ class BackgroundMetric:
     log_rho: np.ndarray
     R: np.ndarray  # background scalar curvature field (full, smoothed)
     cone_term: np.ndarray  # smoothed delta masses, divided by rho
-    h: np.ndarray = None  # Ricci potential of the background (cached)
 
     @cached_property
     def mass(self) -> np.ndarray:
         return self.grid.w * self.rho
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        """Ricci potential of the background: Lap_bg h = R_bg - chi/2
+        (mean-corrected), normalized by int e^h dg_bg = 2."""
+        rhs = self.R - self.cone_term - 0.5 * self.chi()
+        h = self.grid.poisson(self.mass, rhs)
+        h += math.log(2.0 / float(np.sum(np.exp(h) * self.mass)))
+        return h
 
     def chi(self) -> float:
         return 2.0 - self.divisor.weights_float().sum()
@@ -507,19 +528,13 @@ def grad_sq_field(f, state: MetricState) -> np.ndarray:
 
 
 def _edge_graph(state: MetricState) -> sp.csr_matrix:
+    """The grid's geodesic graph with each edge's background length scaled
+    by the mean of e^(u/2) sqrt(rho) over its two ends."""
     grid = state.grid
     sqrt_rho = np.sqrt(state.background.rho * np.exp(state.u))
-    wts = grid.edge_len_bg * 0.5 * (sqrt_rho[grid.edge_a] + sqrt_rho[grid.edge_b])
-    n = grid.n
-    npole = grid.pole_edge_node.size // 2
-    pa = np.full(npole, n, dtype=np.int32)
-    pb = np.full(npole, n + 1, dtype=np.int32)
-    pole_src = np.concatenate([pa, pb])
-    pole_wts = grid.pole_edge_len * sqrt_rho[grid.pole_edge_node]
-    rows = np.concatenate([grid.edge_a, pole_src])
-    cols = np.concatenate([grid.edge_b, grid.pole_edge_node])
-    data = np.concatenate([wts, pole_wts])
-    return sp.coo_matrix((data, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
+    a, b = grid.graph_ends
+    data = grid.graph.data * 0.5 * (sqrt_rho[a] + sqrt_rho[b])
+    return sp.csr_matrix((data, grid.graph.indices, grid.graph.indptr), shape=grid.graph.shape)
 
 
 def geodesic_rows(state: MetricState, nodes) -> dict:

@@ -4,9 +4,9 @@ None of these has a caller in the package: each is an independent route to
 a quantity the package computes another way (the F dissipation rate, the
 unnormalized W entropy, a mu upper bound, the metric Laplacian, the
 curvature expressions a state caches, a Gauss-curvature finite-difference
-oracle, the profile entropy by quadrature), a test's shortcut to the
-distance rows a monitor reads, or a reader of the ``trace.csv`` a run
-writes.
+oracle, the profile entropy by quadrature, the geodesic graph built edge
+by edge), a test's shortcut to the distance rows a monitor reads, or a
+reader of the ``trace.csv`` a run writes.
 They live here so that ``src/conicflow`` holds only code a run reaches.
 """
 
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from conicflow.functionals import ricci_potential
 from conicflow.geometry import (
@@ -54,6 +55,58 @@ def marked_point_rows(state: MetricState) -> dict:
     """The rows the marked-point monitors read: one :func:`geodesic_rows`
     pass from the grid's marked nodes."""
     return geodesic_rows(state, state.grid.marked_nodes)
+
+
+def geodesic_edges(n_lat: int, n_lon: int):
+    """The geodesic graph's edges by a per-edge loop: (edge_a, edge_b,
+    edge_len_bg, pole_edge_node, pole_edge_len), the background lengths of
+    the 8-neighbor edges and of the links from the two virtual pole hubs."""
+    h_theta = math.pi / n_lat
+    theta = (np.arange(n_lat) + 0.5) * h_theta
+    h_eta = TWO_PI / n_lon
+    idx = np.arange(n_lat * n_lon).reshape(n_lat, n_lon)
+    r = math.sqrt(ROUND_R2)
+    ea, eb, el = [], [], []
+    if n_lon > 1:
+        for i in range(n_lat):
+            for j in range(n_lon):
+                a = idx[i, j]
+                if i + 1 < n_lat:
+                    ea.append(a), eb.append(idx[i + 1, j]), el.append(r * h_theta)
+                    mid = math.sin(0.5 * (theta[i] + theta[i + 1]))
+                    diag = r * math.hypot(h_theta, mid * h_eta)
+                    ea.append(a), eb.append(idx[i + 1, (j + 1) % n_lon]), el.append(diag)
+                    ea.append(a), eb.append(idx[i + 1, (j - 1) % n_lon]), el.append(diag)
+                ea.append(a), eb.append(idx[i, (j + 1) % n_lon]), el.append(
+                    r * math.sin(theta[i]) * h_eta)
+        pole_nodes = np.concatenate([idx[0], idx[-1]])
+        pole_len = np.full(2 * n_lon, r * h_theta / 2.0)
+    else:
+        for i in range(n_lat - 1):
+            ea.append(i), eb.append(i + 1), el.append(r * h_theta)
+        pole_nodes = np.array([0, n_lat - 1])
+        pole_len = np.full(2, r * h_theta / 2.0)
+    return (np.asarray(ea, dtype=np.int32), np.asarray(eb, dtype=np.int32),
+            np.asarray(el), pole_nodes.astype(np.int32), pole_len)
+
+
+def edge_graph(state: MetricState) -> sp.csr_matrix:
+    """The state's geodesic graph assembled from :func:`geodesic_edges` as
+    a COO matrix: each edge's background length times the mean of
+    e^(u/2) sqrt(rho) at its ends, each hub link's times the value at its
+    pole node; hub n links the north row, hub n + 1 the south row."""
+    grid = state.grid
+    edge_a, edge_b, edge_len_bg, pole_node, pole_len = geodesic_edges(grid.n_lat, grid.n_lon)
+    sqrt_rho = np.sqrt(state.background.rho * np.exp(state.u))
+    wts = edge_len_bg * 0.5 * (sqrt_rho[edge_a] + sqrt_rho[edge_b])
+    n = grid.n
+    npole = pole_node.size // 2
+    pole_src = np.concatenate([np.full(npole, n, dtype=np.int32),
+                               np.full(npole, n + 1, dtype=np.int32)])
+    rows = np.concatenate([edge_a, pole_src])
+    cols = np.concatenate([edge_b, pole_node])
+    data = np.concatenate([wts, pole_len * sqrt_rho[pole_node]])
+    return sp.coo_matrix((data, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
 
 
 def laplacian(f, state: MetricState) -> np.ndarray:

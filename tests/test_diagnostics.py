@@ -189,13 +189,14 @@ class TestDetectConvergence:
         assert rep.verdict == "ConstantCurvature"
         assert rep.clusters == [[0], [1], [2]]
 
-    def test_soliton_verdict_on_orbit_run(self, soliton_axis_result):
+    def test_soliton_verdict_on_orbit_run(self, soliton_axis_result, monkeypatch):
         # with the eps-adjusted entropy tolerance the orbit-tracking run
         # classifies as the soliton of the deep-weight partition; the shipped
         # default (5e-2) is the asymptotic tolerance and stays Undecided at
         # eps = 2e-4 (w_gap ~ 0.15, documented)
         tr = soliton_axis_result["trace"]
-        rep = diag.detect_convergence(tr.final_state, tr.status, diag.Thresholds(w_match_tol=0.2))
+        monkeypatch.setattr(diag, "W_MATCH_TOL", 0.2)
+        rep = diag.detect_convergence(tr.final_state, tr.status)
         assert rep.verdict == "Soliton"
         assert rep.partition == [1]
         assert rep.residuals["profile_residual"] < 1e-2

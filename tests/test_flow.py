@@ -249,6 +249,19 @@ class TestRun:
         b = fl.run(small_config(initial="bump", seed=2, t_max=0.4))
         assert not np.array_equal(a["f_beta"], b["f_beta"])
 
+    def test_fixed_step_is_first_order_in_dt(self):
+        # each halving of dt halves the error of the final u against a
+        # dt = 0.00125 run (measured 7.40e-3, 3.70e-3 and 1.75e-3)
+        def final_u(dt):
+            cfg = shipped_config("stable", n_lat=32, n_lon=64, eps=0.1, initial="bump", seed=1,
+                                 dt=dt, t_max=0.2, sample_every=0.2, auto_stop=False)
+            return fl.run(cfg).final_state.u
+
+        ref = final_u(0.00125)
+        errors = [float(np.abs(final_u(dt) - ref).max()) for dt in (0.04, 0.02, 0.01)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.8 <= coarse / fine <= 2.3, errors
+
     def test_failure_returns_partial_trace(self, monkeypatch):
         # a solve gone non-finite must abort, flag the trace, and still
         # return the samples collected so far
@@ -379,7 +392,7 @@ class TestImplicitStepper:
         rng = np.random.default_rng(512)
         grid = geo.build_axis_grid(512)
         q = rng.permutation(grid.n)
-        grid.L = grid.L[q][:, q].tocsr()
+        grid = replace(grid, L=grid.L[q][:, q].tocsr())
         stepper = fl._ImplicitStepper(types.SimpleNamespace(grid=grid))
         assert not np.array_equal(stepper.perm, np.argsort(stepper.perm))
         for _ in range(3):

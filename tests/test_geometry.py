@@ -1,29 +1,38 @@
 import dataclasses
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import dijkstra
 
 from conicflow import diagnostics as diag
 from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
-from oracles import curvature_expressions, curvature_oracle, distances_from, laplacian
+from oracles import (
+    curvature_expressions,
+    curvature_oracle,
+    distances_from,
+    edge_graph,
+    geodesic_edges,
+    laplacian,
+)
 
 
-def _assemble_grid_loop(n_lat, n_lon):
-    """The per-edge loops that ``geo._assemble_grid`` replaced: the
-    reference its stiffness matrix and Dijkstra edge list must match bit for
-    bit.  Returns (L, edge_a, edge_b, edge_len_bg, pole_edge_node,
-    pole_edge_len)."""
+def _stiffness_loop(n_lat, n_lon):
+    """The per-edge loop that ``geo._assemble_grid`` replaced: the
+    reference its stiffness matrix must match bit for bit."""
     h_theta = math.pi / n_lat
     theta = (np.arange(n_lat) + 0.5) * h_theta
     faces = np.arange(n_lat + 1) * h_theta
     h_eta = geo.TWO_PI / n_lon
     m = geo._mercator(theta)
-    m_cell = geo._mercator(np.clip(faces, 1e-300, None))
+    m_face = geo._mercator(faces[1:-1])  # m_face[i - 1] at face i
 
     n = n_lat * n_lon
     rows, cols, vals = [], [], []
@@ -40,53 +49,48 @@ def _assemble_grid_loop(n_lat, n_lon):
             add_edges(idx[i, j], idx[i + 1, j], k)
     if n_lon > 1:
         for i in range(n_lat):
-            dm = m_cell[i + 1] - m_cell[i] if 0 < i < n_lat - 1 else None
-            if i == 0:
-                dm = m_cell[1] - m[0]
-            elif i == n_lat - 1:
-                dm = m[-1] - m_cell[n_lat - 1]
-            k = (1.0 / geo.FOUR_PI) * dm / h_eta
+            # the pole caps take their Mercator height from the node
+            north = m[0] if i == 0 else m_face[i - 1]
+            south = m[-1] if i == n_lat - 1 else m_face[i]
+            k = (1.0 / geo.FOUR_PI) * (south - north) / h_eta
             for j in range(n_lon):
                 add_edges(idx[i, j], idx[i, (j + 1) % n_lon], k)
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    r = math.sqrt(geo.ROUND_R2)
-    ea, eb, el = [], [], []
-    if n_lon > 1:
-        for i in range(n_lat):
-            for j in range(n_lon):
-                a = idx[i, j]
-                if i + 1 < n_lat:
-                    ea.append(a), eb.append(idx[i + 1, j]), el.append(r * h_theta)
-                    mid = math.sin(0.5 * (theta[i] + theta[i + 1]))
-                    diag = r * math.hypot(h_theta, mid * h_eta)
-                    ea.append(a), eb.append(idx[i + 1, (j + 1) % n_lon]), el.append(diag)
-                    ea.append(a), eb.append(idx[i + 1, (j - 1) % n_lon]), el.append(diag)
-                ea.append(a), eb.append(idx[i, (j + 1) % n_lon]), el.append(
-                    r * math.sin(theta[i]) * h_eta)
-        pole_nodes = np.concatenate([idx[0], idx[-1]])
-        pole_len = np.full(2 * n_lon, r * h_theta / 2.0)
-    else:
-        for i in range(n_lat - 1):
-            ea.append(i), eb.append(i + 1), el.append(r * h_theta)
-        pole_nodes = np.array([0, n_lat - 1])
-        pole_len = np.full(2, r * h_theta / 2.0)
-    return (L, np.asarray(ea, dtype=np.int32), np.asarray(eb, dtype=np.int32),
-            np.asarray(el), pole_nodes.astype(np.int32), pole_len)
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 class TestGrid:
     @pytest.mark.parametrize("n_lat, n_lon", [(32, 64), (64, 128), (4096, 1)])
     def test_assembly_matches_the_per_edge_loop(self, n_lat, n_lon):
-        grid = geo._assemble_grid(n_lat, n_lon)
-        L, *edges = _assemble_grid_loop(n_lat, n_lon)
-        for name in ("indptr", "indices", "data"):
-            got, want = getattr(grid.L, name), getattr(L, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
-        for name, want in zip(("edge_a", "edge_b", "edge_len_bg", "pole_edge_node",
-                               "pole_edge_len"), edges):
-            got = getattr(grid, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        grid = geo.build_axis_grid(n_lat) if n_lon == 1 else geo.build_grid(n_lat, n_lon)
+        n = grid.n
+        edge_a, edge_b, edge_len, pole_node, pole_len = geodesic_edges(n_lat, n_lon)
+        hubs = np.repeat(np.array([n, n + 1], dtype=np.int32), pole_node.size // 2)
+        rows, cols = np.concatenate([edge_a, hubs]), np.concatenate([edge_b, pole_node])
+        # the edge order of the loop, carried through the CSR ordering
+        slot = sp.coo_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
+                             shape=(n + 2, n + 2)).tocsr()
+        order = slot.data.astype(int) - 1
+        graph = sp.csr_matrix((np.concatenate([edge_len, pole_len])[order], slot.indices,
+                               slot.indptr), shape=slot.shape)
+        # a hub link's two ends are both its pole node
+        ends = np.stack([np.where(rows < n, rows, cols), cols])[:, order]
+        for got, want in ((grid.L, _stiffness_loop(n_lat, n_lon)), (grid.graph, graph)):
+            for name in ("indptr", "indices", "data"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and np.array_equal(g, w), name
+        assert grid.graph_ends.dtype == ends.dtype and np.array_equal(grid.graph_ends, ends)
+
+    def test_valid_grids_raise_no_runtime_warning(self):
+        # the Mercator coordinate of the south-pole face, n_lat * (pi / n_lat),
+        # is log(tan(.)) of an angle that can round above pi
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for n_lat in range(16, 601):
+                geo.build_axis_grid(n_lat)
+            for n_lat in (25, 41, 50, 79, 82, 95):
+                geo.build_grid(n_lat, 32)
+            geo.build_grid(100, 200)
+
     def test_rejects_small_resolution(self):
         with pytest.raises(ValueError, match="resolution too small"):
             geo.build_grid(8, 16)
@@ -106,7 +110,7 @@ class TestGrid:
     def test_generic_point_not_nudged(self):
         d = Divisor([0.5], [[0.3, 0.4, 0.5]])
         grid = geo.build_grid(64, 128, d)
-        assert grid.nudges == []
+        assert grid.nudges == ()
 
     def test_node_coincidence_nudged(self):
         grid0 = geo.build_grid(64, 128)
@@ -137,7 +141,7 @@ class TestGrid:
     def test_two_points_with_two_nearest_nodes_accepted(self):
         # one longitude cell, but each point nearer to its own node
         grid = geo.build_grid(16, 32, self.equator_pair_16x32(0.3, 0.7))
-        assert grid.nudges == [(2, grid.h_theta / 2)]  # only the pole point moves
+        assert grid.nudges == ((2, grid.h_theta / 2),)  # only the pole point moves
         assert grid.marked_nodes[1] == grid.marked_nodes[0] + 1
         assert len(set(grid.marked_nodes)) == 3
 
@@ -493,7 +497,53 @@ class TestSharedRows:
             diag.marked_point_clusters(st, 0.1, one)[0]
         )
         prof = sol.soliton_profile(0.6, 0.3)
-        assert diag.compare_to_profile(st, prof, rows) == diag.compare_to_profile(st, prof, one)
+        margin = diag.PROFILE_MARGIN
+        assert diag.compare_to_profile(st, prof, rows, margin) == (
+            diag.compare_to_profile(st, prof, one, margin)
+        )
+
+
+@pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])
+class TestFrozenValues:
+    """A grid and a background are immutable values, built whole; what they
+    derive is computed once per object."""
+
+    def test_fields_cannot_be_assigned(self, make_state):
+        bg = make_state().background
+        for obj in (bg.grid, bg):
+            for f in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, f.name, getattr(obj, f.name))
+
+    def test_h_and_grounded_factor_computed_once(self, make_state, monkeypatch):
+        st = make_state()
+        calls = []
+
+        def splu(*args, **kwargs):
+            calls.append(1)
+            return spla.splu(*args, **kwargs)
+
+        monkeypatch.setattr(geo, "spla", types.SimpleNamespace(splu=splu))
+        bg = st.background
+        h = fn.h_background(bg)
+        fn.f_beta(st), fn.ricci_potential(st)
+        assert fn.h_background(bg) is h and bg.h is h
+        assert len(calls) == 1
+        other = geo.background_metric(bg.grid, bg.divisor, 2 * bg.eps)
+        assert not np.array_equal(other.h, h)
+        assert len(calls) == 1  # the grid's factor serves every background
+
+    def test_graph_matches_the_edge_by_edge_oracle(self, make_state):
+        st = make_state()
+        got, want = geo._edge_graph(st), edge_graph(st)
+        for name in ("indptr", "indices", "data"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+        nodes = st.grid.diameter_nodes
+        rows = geo.geodesic_rows(st, nodes)
+        d = dijkstra(want, directed=False, indices=nodes)
+        for i, s in enumerate(nodes):
+            assert np.array_equal(rows[s], d[i, : st.grid.n])
 
 
 def _on_node_32x64():
