@@ -41,6 +41,7 @@ import scipy.sparse.linalg as spla
 from . import diagnostics as diag
 from . import functionals as fn
 from . import geometry as geo
+from . import soliton as sol
 from .marked_sphere import Divisor
 
 INITIALS = ("zero", "bump", "soliton")
@@ -423,8 +424,6 @@ def _initial_field(config: FlowConfig, bg: geo.BackgroundMetric) -> np.ndarray:
         return np.zeros(grid.n)
     if config.initial == "soliton":
         # start on the closed-form soliton orbit of the divisor's weights
-        from . import soliton as sol
-
         div = config.divisor
         if div.k not in (1, 2):
             raise ValueError("initial = soliton needs a 1- or 2-point divisor")

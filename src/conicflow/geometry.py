@@ -401,7 +401,12 @@ def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> Backgro
     limit is the |z|^(-2 beta_j) cone model.  The density is rescaled to
     total area 2 and the curvature field computed from the density through
     the calibrated stencil (which makes integral R dg = 2 exact).
+
+    ``divisor`` must equal ``grid.divisor``: the weights come from it and
+    the cone positions from the grid.
     """
+    if divisor != grid.divisor:
+        raise ValueError("divisor is not the grid's: it must have the same weights at the same positions")
     if eps <= 0:
         raise ValueError("smoothing length eps must be positive")
     if divisor.k and math.sqrt(2.0) * eps < grid.h_theta:

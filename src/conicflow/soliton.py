@@ -17,6 +17,10 @@ Moment-coordinate calculus used throughout the package:
     Laplacian f        = (phi f')' / 2
     |grad f|^2         = phi (f')^2 / 2
     scalar curvature R = -phi'' / 2
+
+scipy.optimize loads only when a closed form is solved for c (the first
+call of :func:`solve_c`), so a flow that never solves one does not pay
+for it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .marked_sphere import Divisor, StabilityClass, classify_stability, enumerate_partitions
 
@@ -72,6 +75,9 @@ def solve_c(tau: float) -> float:
     t = abs(tau)
     # tau(c) ~ 1 - 1/c for large c, so c < 1/(1-t) + 2 brackets the root
     hi = 1.0 / (1.0 - t) + 2.0
+    # deferred, so that only a soliton solve loads scipy.optimize (~17 MB)
+    from scipy.optimize import brentq
+
     c = brentq(lambda x: tau_of_c(x) - t, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
     for _ in range(2):  # Newton polish for the round-trip guarantee
         d = _dtau_dc(c)

@@ -231,6 +231,25 @@ class TestBackground:
         with pytest.raises(ValueError):
             geo.background_metric(grid, grid.divisor, 0.0)
 
+    @pytest.mark.parametrize(
+        "other",
+        [
+            # sorts to weight 0.3 at the south pole: same weights, swapped cones
+            Divisor([0.6, 0.3], [[0, 0, 1.0], [0, 0, -1.0]]),
+            # one cone on a grid whose monitors track two marked nodes
+            Divisor([0.5]),
+        ],
+        ids=["swapped", "one-cone"],
+    )
+    def test_divisor_must_be_the_grids(self, other):
+        own = Divisor([0.3, 0.6], [[0, 0, 1.0], [0, 0, -1.0]])
+        grid = geo.build_axis_grid(64, own)
+        with pytest.raises(ValueError, match="not the grid's"):
+            geo.background_metric(grid, other, 0.1)
+        # an equal divisor built anew is the grid's own
+        same = Divisor([0.3, 0.6], [[0, 0, 1.0], [0, 0, -1.0]])
+        assert geo.background_metric(grid, same, 0.1).divisor == own
+
     def test_unresolved_core_rejected(self):
         d = Divisor([0.5], [[0.3, 0.4, 0.5]])
         grid = geo.build_grid(64, 128, d)

@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -7,6 +12,7 @@ from hypothesis import strategies as st
 
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
+from conftest import CONFIG_DIR
 from oracles import profile_normalized_w
 
 
@@ -74,6 +80,31 @@ class TestSolveC:
         for tau in (1.0, -1.0, 1.5):
             with pytest.raises(ValueError):
                 sol.solve_c(tau)
+
+    def test_root_finder_loads_on_first_solve(self, tmp_path):
+        # a fresh interpreter, so that no other test's imports mask a
+        # module-level scipy.optimize import on the run path
+        script = textwrap.dedent(
+            f"""
+            import json, sys
+            from dataclasses import replace
+            from conicflow import cli, flow as fl, soliton as sol
+            cfg = fl.parse_config_file({os.path.join(CONFIG_DIR, "stable.cfg")!r})
+            cfg = replace(cfg, n_lat=32, n_lon=64, eps=0.1, t_max=0.05, sample_every=0.01)
+            cli.execute_run(cfg, {str(tmp_path / "run")!r})
+            after_run = "scipy.optimize" in sys.modules
+            c = sol.solve_c(5 / 9)
+            print(json.dumps([after_run, c, "scipy.optimize" in sys.modules]))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(sol.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        after_run, c, after_solve = json.loads(out.stdout.splitlines()[-1])
+        assert not after_run, "a stable 2-D run loaded scipy.optimize"
+        assert c == 2.1078882584359344
+        assert after_solve
 
 
 class TestFOfC:
