@@ -25,7 +25,6 @@ from .soliton import (  # noqa: F401
     RadialProfile,
     SolitonSpec,
     f_of_c,
-    football,
     mu_table,
     solve_c,
     soliton_profile,

@@ -211,7 +211,7 @@ def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> d
         "trace_sha256": _sha256(trace_path),
         "field_sha256": field_sha,
         "config": config.to_dict(),
-        "unit_constants": geo.UNITS.as_dict(),
+        "unit_constants": dict(geo.UNITS),
         "status": trace.status,
         "verdict": report.verdict,
         "wall_time_s": time.perf_counter() - t0,
@@ -296,6 +296,8 @@ def _sweep_one(payload):
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     base_path, lists = parse_sweep_file(args.config)
     try:
         base_config = fl.parse_config_file(base_path)
@@ -315,7 +317,9 @@ def cmd_sweep(args) -> int:
     # every job is checked before anything is written
     os.makedirs(out_root, exist_ok=True)
     if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # a fork pool starts all its workers on the first submit
+        workers = min(args.workers, len(jobs))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, jobs))
     else:
         rows = [_sweep_one(j) for j in jobs]

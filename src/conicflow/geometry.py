@@ -54,27 +54,14 @@ MIN_N_LAT = 16
 MIN_N_LON = 32
 
 
-@dataclass(frozen=True)
-class UnitConstants:
-    """The internal unit convention, written to every run's manifest."""
-
-    round_area: float = 2.0
-    round_radius_sq: float = ROUND_R2
-    curvature_scale: float = 1.0 / TWO_PI  # R = curvature_scale * K_gauss
-    laplacian_scale: float = 1.0 / FOUR_PI  # Lap = laplacian_scale * Lap_LB
-    gradient_scale: float = 1.0 / FOUR_PI  # |grad f|^2 scale
-
-    def as_dict(self) -> dict:
-        return {
-            "round_area": self.round_area,
-            "round_radius_sq": self.round_radius_sq,
-            "curvature_scale": self.curvature_scale,
-            "laplacian_scale": self.laplacian_scale,
-            "gradient_scale": self.gradient_scale,
-        }
-
-
-UNITS = UnitConstants()
+#: the internal unit convention, written to every run's manifest
+UNITS = {
+    "round_area": 2.0,
+    "round_radius_sq": ROUND_R2,
+    "curvature_scale": 1.0 / TWO_PI,  # R = curvature_scale * K_gauss
+    "laplacian_scale": 1.0 / FOUR_PI,  # Lap = laplacian_scale * Lap_LB
+    "gradient_scale": 1.0 / FOUR_PI,  # |grad f|^2 scale
+}
 
 
 # ----------------------------------------------------------------------
@@ -160,16 +147,10 @@ class SphereGrid:
         """
         return "COLAMD" if self.n_lon == 1 else "MMD_AT_PLUS_A"
 
-    def node_index(self, i, j):
-        return i * self.n_lon + j
-
     def positions(self) -> np.ndarray:
         th = np.repeat(self.theta, self.n_lon)
         et = np.tile(self.eta, self.n_lat)
         return vec_from_angles(th, et)
-
-    def nearest_node(self, point) -> int:
-        return _nearest_node(self.n_lat, self.n_lon, point)
 
     @cached_property
     def _ground_lu(self):

@@ -37,10 +37,6 @@ class StabilityClass(Enum):
         return self.value
 
 
-def _as_float(w: Weight) -> float:
-    return float(w)
-
-
 def _equator_positions(k: int) -> np.ndarray:
     lon = 2.0 * np.pi * np.arange(k) / max(k, 1)
     return np.stack([np.cos(lon), np.sin(lon), np.zeros(k)], axis=1)
@@ -62,7 +58,7 @@ class Divisor:
         weights = list(weights)
         k = len(weights)
         for w in weights:
-            if not (0 < _as_float(w) < 1):
+            if not (0 < float(w) < 1):
                 raise ValueError(f"weight {w} outside the open interval (0, 1)")
         if positions is None:
             pos = _equator_positions(k)
@@ -78,7 +74,7 @@ class Divisor:
             # twice (a divisor read back from a manifest) then moves nothing
             unit = np.abs(norms - 1.0) <= UNIT_NORM_TOL
             pos = np.where(unit[:, None], pos, pos / norms[:, None])
-        order = sorted(range(k), key=lambda i: _as_float(weights[i]))
+        order = sorted(range(k), key=lambda i: float(weights[i]))
         weights = [weights[i] for i in order]
         pos = pos[order] if k else pos.reshape(0, 3)
         for i in range(k):
@@ -114,7 +110,7 @@ class Divisor:
         return sum(self.weights, Fraction(0) if self.exact else 0.0)
 
     def weights_float(self) -> np.ndarray:
-        return np.array([_as_float(w) for w in self.weights], dtype=float)
+        return np.array([float(w) for w in self.weights], dtype=float)
 
     # -- serialization -----------------------------------------------------
 
@@ -213,7 +209,7 @@ def alpha_invariant(d: Divisor) -> Weight:
     if d.k < 1:
         raise ValueError("alpha invariant needs at least one marked point")
     chi = euler_characteristic(d)
-    if _as_float(chi) <= 0:
+    if float(chi) <= 0:
         raise ValueError("alpha invariant formula requires sum(beta) < 2")
     one = Fraction(1) if d.exact else 1.0
     return (one - d.beta_max) / chi

@@ -103,11 +103,6 @@ def f_of_c(c: float) -> float:
     return 2.0 * (c / math.tanh(c) - 1.0) - 2.0 * math.log(math.sinh(c) / c)
 
 
-def _check_weights(beta_p: float, beta_q: float) -> None:
-    if not (0.0 <= beta_q <= beta_p < 1.0):
-        raise ValueError(f"need 0 <= beta_q <= beta_p < 1, got ({beta_p}, {beta_q})")
-
-
 def soliton_w(beta_p: float, beta_q: float) -> float:
     """Entropy value W(g_sol, -theta_sol) = 1 - F(c) of the two-point soliton.
 
@@ -115,16 +110,16 @@ def soliton_w(beta_p: float, beta_q: float) -> float:
     c = 0 branch).  beta_q = 0 is the teardrop; the closed form extends to it
     continuously.
     """
-    _check_weights(beta_p, beta_q)
-    if beta_p == beta_q:
-        return 1.0
-    tau = (beta_p - beta_q) / (2.0 - beta_p - beta_q)
-    return 1.0 - f_of_c(solve_c(tau))
+    return SolitonSpec.from_weights(beta_p, beta_q).w
 
 
 @dataclass(frozen=True)
 class SolitonSpec:
-    """Parameters of one two-point (or one-point) shrinking soliton."""
+    """Parameters of one two-point (or one-point) shrinking soliton.
+
+    :meth:`from_weights` is the one step from cone weights to tau and c;
+    equal weights give c = 0, the constant-curvature football.
+    """
 
     beta_p: float
     beta_q: float
@@ -135,7 +130,8 @@ class SolitonSpec:
 
     @classmethod
     def from_weights(cls, beta_p: float, beta_q: float, partition=frozenset()) -> "SolitonSpec":
-        _check_weights(beta_p, beta_q)
+        if not (0.0 <= beta_q <= beta_p < 1.0):
+            raise ValueError(f"need 0 <= beta_q <= beta_p < 1, got ({beta_p}, {beta_q})")
         tau = (beta_p - beta_q) / (2.0 - beta_p - beta_q)
         c = solve_c(tau)
         return cls(beta_p, beta_q, tau, c, 1.0 - f_of_c(c), frozenset(partition))
@@ -148,10 +144,6 @@ class MuTable:
     entries: list  # of SolitonSpec
     threshold: float | None  # W_beta = mu_2, or None if < 2 valid partitions
     excluded: list  # invalid LimitDivisors (beta_p >= 1)
-
-    @property
-    def mu1(self) -> float:
-        return self.entries[0].w
 
 
 def mu_table(d: Divisor) -> MuTable:
@@ -216,9 +208,6 @@ class RadialProfile:
     def curvature_of(self, x):
         return _curvature_closed(np.asarray(x, dtype=float), self.c, self.chi)
 
-    def theta_of(self, x):
-        return _theta_closed(np.asarray(x, dtype=float), self.c)
-
     def curvature_of_area(self, a):
         """R as a function of cumulative area measured from the x=+1 end."""
         return self.curvature_of(1.0 - np.asarray(a, dtype=float))
@@ -232,12 +221,6 @@ class RadialProfile:
                     f"{self.x[i]:.17g},{self.phi[i]:.17g},"
                     f"{self.R[i]:.17g},{self.theta[i]:.17g}\n"
                 )
-
-    def endpoint_weights(self, h: float = 1e-5) -> tuple:
-        """Cone weights read off second-order one-sided slope stencils."""
-        dp = (3.0 * self.phi_of(1.0) - 4.0 * self.phi_of(1.0 - h) + self.phi_of(1.0 - 2 * h)) / (2 * h)
-        dq = (-3.0 * self.phi_of(-1.0) + 4.0 * self.phi_of(-1.0 + h) - self.phi_of(-1.0 + 2 * h)) / (2 * h)
-        return 1.0 + dp / 2.0, 1.0 - dq / 2.0
 
 
 def _phi_closed(x, c, chi):
@@ -284,18 +267,14 @@ def soliton_profile(beta_p: float, beta_q: float, n: int = 256) -> RadialProfile
     reduces, in moment coordinates, to the linear boundary-value problem
     phi'' + c phi' + chi = 0 with phi(+-1) = 0, solved here in closed form.
     The Hessian identity grad^2 theta = (Laplacian theta) g / 2 holds
-    identically for potentials linear in x.  Self-checks: the boundary
-    slopes reproduce the cone weights, and quadrature of theta e^theta
-    reproduces f_of_c(c).
+    identically for potentials linear in x.
     """
-    _check_weights(beta_p, beta_q)
+    c = SolitonSpec.from_weights(beta_p, beta_q).c
     if n < 64:
         raise ValueError("need at least 64 samples")
     chi = 2.0 - beta_p - beta_q
-    tau = (beta_p - beta_q) / chi
-    c = solve_c(tau)
     x = np.linspace(-1.0, 1.0, n)
-    prof = RadialProfile(
+    return RadialProfile(
         x=x,
         phi=_phi_closed(x, c, chi),
         R=_curvature_closed(x, c, chi),
@@ -305,33 +284,3 @@ def soliton_profile(beta_p: float, beta_q: float, n: int = 256) -> RadialProfile
         c=c,
         chi=chi,
     )
-    bp, bq = prof.endpoint_weights()
-    if abs(bp - beta_p) > 1e-5 or abs(bq - beta_q) > 1e-5:
-        raise AssertionError(
-            f"profile boundary slopes give weights ({bp:.8f}, {bq:.8f}), "
-            f"expected ({beta_p}, {beta_q})"
-        )
-    if abs(profile_quadrature_f(prof) - f_of_c(c)) > 1e-8:
-        raise AssertionError("profile quadrature of theta e^theta disagrees with F(c)")
-    return prof
-
-
-def football(beta: float, n: int = 256) -> RadialProfile:
-    """Constant-curvature profile with two equal cone weights beta.
-
-    R = 1 - beta everywhere; beta = 0 is the round sphere.
-    """
-    if not (0.0 <= beta < 1.0):
-        raise ValueError(f"football weight must be in [0, 1), got {beta}")
-    if beta == 0.0:
-        chi = 2.0
-        x = np.linspace(-1.0, 1.0, n)
-        return RadialProfile(x, 0.5 * chi * (1 - x * x), np.full(n, 1.0), np.zeros(n), 0.0, 0.0, 0.0, chi)
-    return soliton_profile(beta, beta, n)
-
-
-def profile_quadrature_f(prof: RadialProfile, n: int = 200) -> float:
-    """int theta e^theta dg over the profile by Gauss-Legendre quadrature."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    th = prof.theta_of(x)
-    return float(np.sum(w * th * np.exp(th)))

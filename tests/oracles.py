@@ -4,9 +4,10 @@ None of these has a caller in the package: each is an independent route to
 a quantity the package computes another way (the F dissipation rate, the
 unnormalized W entropy, a mu upper bound, the metric Laplacian, the
 curvature expressions a state caches, a Gauss-curvature finite-difference
-oracle, the profile entropy by quadrature, the geodesic graph built edge
-by edge), a test's shortcut to the distance rows a monitor reads, or a
-reader of the ``trace.csv`` a run writes.
+oracle, a soliton profile's cone weights from its boundary slopes and its
+F(c) and entropy by quadrature, the geodesic graph built edge by edge), a
+test's shortcut to a grid node or to the distance rows a monitor reads, or
+a reader of the ``trace.csv`` a run writes.
 They live here so that ``src/conicflow`` holds only code a run reaches.
 """
 
@@ -24,11 +25,12 @@ from conicflow.geometry import (
     ROUND_R2,
     TWO_PI,
     MetricState,
+    _nearest_node,
     geodesic_rows,
     grad_sq_field,
     integrate,
 )
-from conicflow.soliton import RadialProfile
+from conicflow.soliton import RadialProfile, _theta_closed
 
 
 def read_trace(path: str) -> dict:
@@ -44,10 +46,15 @@ def read_trace(path: str) -> dict:
 # ----------------------------------------------------------------------
 
 
+def nearest_node(grid, point) -> int:
+    """The node of ``grid`` nearest ``point``."""
+    return _nearest_node(grid.n_lat, grid.n_lon, point)
+
+
 def distances_from(state: MetricState, point) -> np.ndarray:
     """Graph distances from the node nearest ``point``: a one-source
     :func:`geodesic_rows` pass."""
-    node = state.grid.nearest_node(point)
+    node = nearest_node(state.grid, point)
     return geodesic_rows(state, [node])[node]
 
 
@@ -258,6 +265,27 @@ def mu_estimate(state: MetricState, budget: int = 60) -> MuEstimate:
 # ----------------------------------------------------------------------
 
 
+def theta_of(prof: RadialProfile, x) -> np.ndarray:
+    """The profile's soliton potential theta at moment coordinates ``x``."""
+    return _theta_closed(np.asarray(x, dtype=float), prof.c)
+
+
+def endpoint_weights(prof: RadialProfile, h: float = 1e-5) -> tuple:
+    """Cone weights read off second-order one-sided slope stencils of phi:
+    beta(+1) = 1 + phi'(1)/2, beta(-1) = 1 - phi'(-1)/2."""
+    phi = prof.phi_of
+    dp = (3.0 * phi(1.0) - 4.0 * phi(1.0 - h) + phi(1.0 - 2 * h)) / (2 * h)
+    dq = (-3.0 * phi(-1.0) + 4.0 * phi(-1.0 + h) - phi(-1.0 + 2 * h)) / (2 * h)
+    return 1.0 + dp / 2.0, 1.0 - dq / 2.0
+
+
+def profile_quadrature_f(prof: RadialProfile, n: int = 200) -> float:
+    """int theta e^theta dg over the profile by Gauss-Legendre quadrature."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    th = theta_of(prof, x)
+    return float(np.sum(w * th * np.exp(th)))
+
+
 def profile_normalized_w(prof: RadialProfile, n: int = 200) -> float:
     """Normalized entropy of the profile at f = -theta by direct quadrature.
 
@@ -266,7 +294,7 @@ def profile_normalized_w(prof: RadialProfile, n: int = 200) -> float:
     reconstruction, the measure convention, and the closed form together.
     """
     x, w = np.polynomial.legendre.leggauss(n)
-    th = prof.theta_of(x)
+    th = theta_of(prof, x)
     R = prof.curvature_of(x)
     grad2 = 0.5 * prof.phi_of(x) * prof.c**2
     integrand = ((R + grad2) / prof.chi - th) * np.exp(th)

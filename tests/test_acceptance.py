@@ -108,7 +108,7 @@ def test_criterion_3_mu_ordering():
         table = sol.mu_table(d)
         assert table.entries[0].partition == frozenset({d.k - 1})
         if table.threshold is not None:
-            assert table.mu1 > table.threshold
+            assert table.entries[0].w > table.threshold
             with_threshold += 1
         tables += 1
     ok(3, f"argmax = {{k}} on 100 unstable divisors ({with_threshold} with mu2 defined)")

@@ -389,6 +389,47 @@ class TestSweep:
             assert code == 1
             assert f"unknown key {key!r}" in err
 
+    def test_workers_capped_at_run_count(self, capsys, tmp_path, monkeypatch):
+        # a recorder stands in for the pool, so no worker process starts
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        tiny_config(tmp_path, shipped_divisor("stable"), t_max=0.04)
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text("config = run.cfg\nsweep_seed = 1, 2\n")
+        out = tmp_path / "sw"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(sweep), "--out", str(out),
+                             "--workers", "500")
+        assert code == 0
+        assert sizes == [2]
+        rows = list(csv.DictReader((out / "aggregate.csv").read_text().splitlines()))
+        assert [r["status"] for r in rows] == ["completed", "completed"]
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, capsys, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", None)
+        tiny_config(tmp_path, shipped_divisor("stable"))
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text("config = run.cfg\nsweep_seed = 1, 2\n")
+        out = tmp_path / "sw"
+        code, _, err = run_cli(capsys, "sweep", "--config", str(sweep), "--out", str(out),
+                               "--workers", workers)
+        assert code == 1
+        assert "--workers must be at least 1" in err
+        assert not out.exists()
 
     def test_bad_sweep_value_rejected(self, capsys, tmp_path, monkeypatch):
         # no --out: a rejected sweep must not leave its default directory

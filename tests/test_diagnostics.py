@@ -97,14 +97,14 @@ class TestVolumeRatio:
 
 class TestCompareToProfile:
     def test_football_state_matches_football(self, football_control):
-        prof = sol.football(0.55)
+        prof = sol.soliton_profile(0.55, 0.55)
         rows = marked_point_rows(football_control)
         res = diag.compare_to_profile(football_control, prof, rows, margin=0.2)
         assert res < 5e-3
 
     def test_football_state_rejects_soliton_profile(self, football_control):
         rows = marked_point_rows(football_control)
-        right = diag.compare_to_profile(football_control, sol.football(0.55), rows, margin=0.2)
+        right = diag.compare_to_profile(football_control, sol.soliton_profile(0.55, 0.55), rows, margin=0.2)
         wrong = diag.compare_to_profile(
             football_control, sol.soliton_profile(0.8, 0.3), rows, margin=0.2
         )

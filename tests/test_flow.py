@@ -546,9 +546,7 @@ class TestSharedGeodesicPass:
         monkeypatch.setattr(
             geo, "_csgraph_dijkstra", counting("dijkstra", geo._csgraph_dijkstra)
         )
-        monkeypatch.setattr(
-            geo.SphereGrid, "nearest_node", counting("nearest_node", geo.SphereGrid.nearest_node)
-        )
+        monkeypatch.setattr(geo, "_nearest_node", counting("nearest_node", geo._nearest_node))
         return counts
 
     @staticmethod

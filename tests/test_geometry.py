@@ -21,6 +21,7 @@ from oracles import (
     edge_graph,
     geodesic_edges,
     laplacian,
+    nearest_node,
 )
 
 
@@ -114,7 +115,7 @@ class TestGrid:
 
     def test_node_coincidence_nudged(self):
         grid0 = geo.build_grid(64, 128)
-        p = grid0.positions()[grid0.node_index(10, 17)]
+        p = grid0.positions()[10 * grid0.n_lon + 17]
         grid = geo.build_grid(64, 128, Divisor([0.4], [p]))
         assert len(grid.nudges) == 1
 
@@ -376,7 +377,7 @@ class TestIntegrate:
 
 
 def distance(state, a, b):
-    return float(distances_from(state, a)[state.grid.nearest_node(b)])
+    return float(distances_from(state, a)[nearest_node(state.grid, b)])
 
 
 class TestDistances:
@@ -568,7 +569,7 @@ class TestFrozenValues:
 def _on_node_32x64():
     """The position of node (8, 17) of the 32x64 grid."""
     grid = geo.build_grid(32, 64)
-    return grid.positions()[grid.node_index(8, 17)]
+    return grid.positions()[8 * grid.n_lon + 17]
 
 
 class TestMarkedNodes:
@@ -590,10 +591,10 @@ class TestMarkedNodes:
     def test_marked_nodes_are_nearest_nodes(self, build, nudged):
         grid = build()
         assert [i for i, _ in grid.nudges] == nudged
-        want = [grid.nearest_node(p) for p in grid.marked_points]
+        want = [nearest_node(grid, p) for p in grid.marked_points]
         assert grid.marked_nodes == want
         assert len(set(want)) == grid.divisor.k
-        axes = [grid.nearest_node(p) for p in geo.AXIS_POINTS]
+        axes = [nearest_node(grid, p) for p in geo.AXIS_POINTS]
         assert grid.diameter_nodes == list(dict.fromkeys(axes + want))
 
 

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicflow import soliton as sol
-from conicflow.marked_sphere import Divisor
+from conicflow.marked_sphere import Divisor, enumerate_partitions
 from conftest import CONFIG_DIR
-from oracles import profile_normalized_w
+from oracles import endpoint_weights, profile_normalized_w, profile_quadrature_f
 
 
 def quad_tau(c, n=200001):
@@ -203,38 +203,74 @@ class TestMuTable:
             table = sol.mu_table(d)
             assert table.entries[0].partition == frozenset({d.k - 1})
             if table.threshold is not None:
-                assert table.mu1 > table.threshold
+                assert table.entries[0].w > table.threshold
+
+
+def _shipped_partition_weights():
+    """A (beta_p, beta_q) case for every valid partition of the shipped divisors."""
+    cases = []
+    div_dir = os.path.join(CONFIG_DIR, "divisors")
+    for name in sorted(os.listdir(div_dir)):
+        with open(os.path.join(div_dir, name)) as fh:
+            d = Divisor.from_json(fh.read())
+        for ld in enumerate_partitions(d):
+            if ld.valid:
+                cases.append(pytest.param(ld.beta_p, ld.beta_q,
+                                          id=name[:-5] + "-" + "+".join(map(str, sorted(ld.partition)))))
+    return cases
 
 
 class TestProfiles:
     def test_football_round_sphere(self):
-        p = sol.football(0.0)
+        p = sol.soliton_profile(0.0, 0.0)
         assert np.allclose(p.R, 1.0)
         assert np.allclose(p.phi, 0.5 * 2.0 * (1 - p.x**2))
 
     def test_football_constant_curvature(self):
-        p = sol.football(0.6)
+        p = sol.soliton_profile(0.6, 0.6)
         assert np.allclose(p.R, 0.4)
-        bp, bq = p.endpoint_weights()
+        bp, bq = endpoint_weights(p)
         assert bp == pytest.approx(0.6, abs=1e-6)
         assert bq == pytest.approx(0.6, abs=1e-6)
 
     def test_football_gauss_bonnet(self):
-        p = sol.football(0.6)
+        p = sol.soliton_profile(0.6, 0.6)
         x, w = np.polynomial.legendre.leggauss(64)
         assert np.sum(w * p.curvature_of(x)) == pytest.approx(2 - 1.2, abs=1e-10)
 
     def test_soliton_profile_degenerates_to_football(self):
-        p = sol.soliton_profile(0.5, 0.5)
-        fb = sol.football(0.5)
-        assert np.max(np.abs(p.phi - fb.phi)) < 1e-10
-        assert np.max(np.abs(p.R - fb.R)) < 1e-10
+        # the c = 0 member is the explicit football:
+        # phi = (1 - beta)(1 - x^2), R = 1 - beta, theta = 0
+        for beta in (0.0, 0.3, 0.6, 0.9):
+            p = sol.soliton_profile(beta, beta)
+            assert p.c == 0.0
+            assert np.max(np.abs(p.phi - (1 - beta) * (1 - p.x**2))) < 1e-15
+            assert np.max(np.abs(p.R - (1 - beta))) < 1e-15
+            assert not np.any(p.theta)
 
-    def test_endpoint_weights_from_slopes(self):
-        p = sol.soliton_profile(0.8, 0.3)
-        bp, bq = p.endpoint_weights()
-        assert bp == pytest.approx(0.8, abs=1e-6)
-        assert bq == pytest.approx(0.3, abs=1e-6)
+    @pytest.mark.parametrize(
+        "beta_p, beta_q",
+        [
+            pytest.param(0.5, 0.5, id="football"),
+            pytest.param(0.0, 0.0, id="round"),
+            pytest.param(0.5, 0.4999, id="below-profile-cutoff"),
+            pytest.param(0.5, 0.499, id="between-cutoffs"),
+            pytest.param(0.5, 0.49, id="above-series-cutoff"),
+            pytest.param(0.8, 0.3, id="0.8-0.3"),
+            pytest.param(0.99, 0.98, id="0.99-0.98"),
+            pytest.param(0.35, 0.0, id="teardrop-0.35"),
+            pytest.param(0.99, 0.0, id="teardrop-0.99"),
+            *_shipped_partition_weights(),
+        ],
+    )
+    def test_closed_forms_reproduce_weights_and_f(self, beta_p, beta_q):
+        # every branch of the profile closed forms: the boundary slopes give
+        # back the cone weights, and quadrature of theta e^theta gives F(c)
+        p = sol.soliton_profile(beta_p, beta_q)
+        bp, bq = endpoint_weights(p)
+        assert bp == pytest.approx(beta_p, abs=1e-6)
+        assert bq == pytest.approx(beta_q, abs=1e-6)
+        assert abs(profile_quadrature_f(p) - sol.f_of_c(p.c)) < 1e-8
 
     def test_minimum_samples_enforced(self):
         with pytest.raises(ValueError):
