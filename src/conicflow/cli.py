@@ -64,7 +64,10 @@ def cmd_classify(args) -> int:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        cls = classify_stability(d)
+        try:
+            cls = classify_stability(d)
+        except ValueError as exc:
+            raise UsageError(f"cannot classify {args.divisor!r}: {exc}") from exc
         chi = float(euler_characteristic(d))
         out = {"class": str(cls), "chi": chi, "k": d.k,
                "weights": [float(w) for w in d.weights]}
@@ -102,7 +105,10 @@ def cmd_soliton_table(args) -> int:
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        table = sol.mu_table(d)
+        try:
+            table = sol.mu_table(d)
+        except ValueError as exc:
+            raise UsageError(f"no soliton table for {args.divisor!r}: {exc}") from exc
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
     rows = []
@@ -369,8 +375,7 @@ def cmd_report(args) -> int:
     v = fn.ricci_potential(state)
     print(f"f_beta: {fn.f_beta(state):.8g}")
     print(f"normalized_w(-v): {fn.normalized_w(state, -v):.8g}")
-    rows = geo.geodesic_rows(state, state.grid.marked_nodes)
-    print(f"soliton_residual: {fn.soliton_residual(state, v, rows):.6g}")
+    print(f"soliton_residual: {fn.soliton_residual(state, v):.6g}")
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())

@@ -35,19 +35,18 @@ PROFILE_MARGIN = 0.15  # cumulative-area margin cut at both cone ends
 PROFILE_TOL = 0.2
 
 
-def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows: dict) -> dict:
+def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict:
     """Curvature extremes over the sphere minus delta-balls at marked points.
 
     ``delta_exclusion`` must stay outside the smoothed cone cores
-    (at least 2 eps).  ``rows`` are geodesic rows covering the grid's
-    ``marked_nodes`` (see :func:`conicflow.geometry.geodesic_rows`).
+    (at least 2 eps).
     """
     eps = state.background.eps
     if delta_exclusion < 2.0 * eps:
         raise ValueError(f"delta_exclusion must be >= 2 eps = {2 * eps}")
     mask = np.ones(state.grid.n, dtype=bool)
     for node in state.grid.marked_nodes:
-        mask &= rows[node] > delta_exclusion
+        mask &= state.distance_rows[node] > delta_exclusion
     if state.grid.n_lon > 1:
         # the pole closure is not consistent: on the pole rows the error of
         # Lap Y = -Y stays ~0.09 for cos(theta) and grows like 1/h for
@@ -77,14 +76,13 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float, rows: dict) 
     }
 
 
-def marked_point_clusters(state: geo.MetricState, tol: float, rows: dict):
+def marked_point_clusters(state: geo.MetricState, tol: float):
     """Single-linkage clustering of the marked points under the geodesic
-    distance of ``rows`` (covering the marked nodes); returns (clusters as
-    sorted index lists, distance matrix)."""
+    distance; returns (clusters as sorted index lists, distance matrix)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     k = len(state.grid.marked_points)
-    dmat = geo.pairwise_marked_distances(state, rows)
+    dmat = geo.pairwise_marked_distances(state)
     parent = list(range(k))
 
     def find(i):
@@ -155,12 +153,9 @@ def curvature_area_curve(state: geo.MetricState, dist: np.ndarray):
     return centers, means
 
 
-def compare_to_profile(
-    state: geo.MetricState, profile: sol.RadialProfile, rows: dict, margin: float
-) -> float:
+def compare_to_profile(state: geo.MetricState, profile: sol.RadialProfile, margin: float) -> float:
     """RMS mismatch between the state's curvature-vs-area curve and the
-    profile's, measured from the deepest cone point; ``rows`` covers the
-    grid's ``marked_nodes``.
+    profile's, measured from the deepest cone point.
 
     Parametrization-free (hence invariant under rotation about the cluster
     axis and under the soliton gauge drift); the cumulative-area margins at
@@ -171,7 +166,7 @@ def compare_to_profile(
     if not nodes:
         raise ValueError("profile comparison needs marked points")
     # weights sorted: deepest cone last
-    a, r_state = curvature_area_curve(state, rows[nodes[-1]])
+    a, r_state = curvature_area_curve(state, state.distance_rows[nodes[-1]])
     keep = (a >= margin) & (a <= 2.0 - margin) & np.isfinite(r_state)
     r_prof = profile.curvature_of_area(a[keep])
     diff = r_state[keep] - r_prof
@@ -256,8 +251,7 @@ def _residual_floor(state, profile):
         ctrl_lat, ctrl_lon = state.grid.n_lat, state.grid.n_lon
         ctrl_eps = max(bg.eps, 1.01 * math.pi / (ctrl_lat * math.sqrt(2.0)))
         ref = football_control_state(ctrl_lat, ctrl_lon, 0.5 * (2.0 - bg.chi()), ctrl_eps)
-    rows = geo.geodesic_rows(ref, ref.grid.marked_nodes)
-    return fn.soliton_residual(ref, fn.ricci_potential(ref), rows)
+    return fn.soliton_residual(ref, fn.ricci_potential(ref))
 
 
 @dataclass
@@ -308,9 +302,8 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
 
     bg, divisor = final_state.background, final_state.grid.divisor
     delta = max(DELTA_EXCLUSION, 2.0 * bg.eps)
-    rows = geo.geodesic_rows(final_state, final_state.grid.marked_nodes)
-    stats = curvature_stats(final_state, delta, rows)
-    clusters, dmat = marked_point_clusters(final_state, CLUSTER_TOL, rows)
+    stats = curvature_stats(final_state, delta)
+    clusters, dmat = marked_point_clusters(final_state, CLUSTER_TOL)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # k = 2 limit targets
         dclass = classify_stability(divisor) if divisor.k else StabilityClass.STABLE
@@ -343,7 +336,7 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
             )
     else:
         v = fn.ricci_potential(final_state)
-        resid = fn.soliton_residual(final_state, v, rows)
+        resid = fn.soliton_residual(final_state, v)
         residuals["soliton_residual"] = resid
         if len(clusters) == 2:
             best = None
@@ -351,7 +344,7 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
                 if not ld.valid:
                     continue
                 prof = sol.soliton_profile(ld.beta_p, ld.beta_q)
-                r = compare_to_profile(final_state, prof, rows, PROFILE_MARGIN)
+                r = compare_to_profile(final_state, prof, PROFILE_MARGIN)
                 if best is None or r < best[0]:
                     best = (r, ld, prof)
             if best is not None:

@@ -387,10 +387,9 @@ class FlowTrace:
 
 
 def _sample_record(state, v, chow_s, drift):
-    # one geodesic pass from the grid's diameter sources, which include the
-    # marked nodes, serves every distance monitor of this sample
+    # every distance monitor of this sample, and the verdict on the run's
+    # final state, read the state's one geodesic pass (``distance_rows``)
     grid = state.grid
-    rows = geo.geodesic_rows(state, grid.diameter_nodes)
     R, r_cone = state.scalar_curvature, state.conical_curvature
     rec = {
         "area": state.area(),
@@ -403,18 +402,19 @@ def _sample_record(state, v, chow_s, drift):
         "hamilton_entropy": fn.hamilton_entropy(state, chow_s),
         "chow_s": chow_s,
         "w_normalized": fn.normalized_w(state, -v),
-        "soliton_residual": fn.soliton_residual(state, v, rows),
+        "soliton_residual": fn.soliton_residual(state, v),
         "renorm_drift": drift,
     }
     k = len(grid.marked_nodes)
     if k:
-        dmat = geo.pairwise_marked_distances(state, rows)
+        dmat = geo.pairwise_marked_distances(state)
         for i in range(k):
             for j in range(i + 1, k):
                 rec[f"d_p{i + 1}_p{j + 1}"] = dmat[i, j]
         for i, node in enumerate(grid.marked_nodes):
-            rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(state, rows[node], BALL_RADIUS)
-    rec["diameter"] = geo.diameter_estimate(state, rows)
+            rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(
+                state, state.distance_rows[node], BALL_RADIUS)
+    rec["diameter"] = geo.diameter_estimate(state)
     return rec
 
 

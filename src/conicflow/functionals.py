@@ -151,7 +151,7 @@ def _theta_derivative(f2d: np.ndarray, h: float):
     return df, d2f
 
 
-def soliton_residual(state: MetricState, v: np.ndarray, rows: dict) -> float:
+def soliton_residual(state: MetricState, v: np.ndarray) -> float:
     """integral |grad^2 v - (Lap v) g / 2|^2 dg by finite differences.
 
     Computed in conformal (Mercator) coordinates where the trace-free
@@ -162,15 +162,13 @@ def soliton_residual(state: MetricState, v: np.ndarray, rows: dict) -> float:
     geodesic balls of radius max(0.15, 2 eps) around the marked points are
     excluded: inside the smoothed cores the potential carries the
     eps-regularization bowl, not geometry.  The monitor passes the Ricci
-    potential (:func:`ricci_potential`) as ``v``; ``rows`` are
-    :func:`conicflow.geometry.geodesic_rows` covering the grid's
-    ``marked_nodes``.
+    potential (:func:`ricci_potential`) as ``v``.
     """
     grid = state.grid
     exclude_radius = max(0.15, 2.0 * state.background.eps)
     core_mask = np.ones(grid.n, dtype=bool)
     for node in grid.marked_nodes:
-        core_mask &= rows[node] > exclude_radius
+        core_mask &= state.distance_rows[node] > exclude_radius
     nlat, nlon = grid.n_lat, grid.n_lon
     v2 = np.asarray(v, dtype=float).reshape(nlat, nlon)
     log_dens = (state.background.log_rho + state.u).reshape(nlat, nlon)

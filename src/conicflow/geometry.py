@@ -25,10 +25,11 @@ for every state, because the curvature of a conformal factor integrates by
 parts to zero against the stencil.
 
 A :class:`MetricState` is an immutable value: its conformal factor is
-read-only, and its mass and its two curvature fields (``scalar_curvature``
-and ``conical_curvature``) are computed once, on first use, however many
-monitors read them.  Grids and backgrounds are immutable values too, built
-whole; their derived fields are computed once, on first use.
+read-only, and its mass, its two curvature fields (``scalar_curvature``
+and ``conical_curvature``) and its geodesic ``distance_rows`` are computed
+once, on first use, however many monitors read them.  Grids and
+backgrounds are immutable values too, built whole; their derived fields
+are computed once, on first use.
 """
 
 from __future__ import annotations
@@ -95,9 +96,10 @@ class SphereGrid:
     of the calibrated Dirichlet form (kernel = constants), shared by every
     conformal metric on the grid.  A grid is an immutable value, built
     whole by :func:`build_grid` or :func:`build_axis_grid`, which find the
-    marked points' nodes and the diameter's source nodes once; the distance
-    monitors read :func:`geodesic_rows` by these nodes and never map a point
-    to a node.  The grounded factor of ``L`` is computed on first use.
+    marked points' nodes and the diameter's source nodes once; a state's
+    ``distance_rows`` start from these nodes, and the distance monitors
+    read them by node and never map a point to a node.  The grounded factor
+    of ``L`` is computed on first use.
     """
 
     n_lat: int
@@ -115,7 +117,7 @@ class SphereGrid:
     marked_points: np.ndarray  # possibly nudged copies of the positions
     nudges: tuple  # (index, offset) of each nudged marked point
     marked_nodes: list  # nearest node of each marked point, in order
-    diameter_nodes: list  # sources of :func:`diameter_estimate`
+    diameter_nodes: list  # sources of every state's distance rows
 
     @property
     def n(self) -> int:
@@ -347,7 +349,6 @@ class BackgroundMetric:
     """
 
     grid: SphereGrid
-    divisor: Divisor
     eps: float
     rho: np.ndarray  # conformal density relative to the round background
     log_rho: np.ndarray
@@ -368,11 +369,11 @@ class BackgroundMetric:
         return h
 
     def chi(self) -> float:
-        return 2.0 - self.divisor.weights_float().sum()
+        return 2.0 - self.grid.divisor.weights_float().sum()
 
     def beta_max(self) -> float:
         """The largest cone weight; 0 without marked points."""
-        return float(self.divisor.weights_float().max(initial=0.0))
+        return float(self.grid.divisor.weights_float().max(initial=0.0))
 
 
 def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> BackgroundMetric:
@@ -383,8 +384,8 @@ def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> Backgro
     total area 2 and the curvature field computed from the density through
     the calibrated stencil (which makes integral R dg = 2 exact).
 
-    ``divisor`` must equal ``grid.divisor``: the weights come from it and
-    the cone positions from the grid.
+    ``divisor`` must equal ``grid.divisor``, whose weights the background
+    reads; the cone positions come from the grid.
     """
     if divisor != grid.divisor:
         raise ValueError("divisor is not the grid's: it must have the same weights at the same positions")
@@ -422,7 +423,7 @@ def background_metric(grid: SphereGrid, divisor: Divisor, eps: float) -> Backgro
     # R - delta/rho = (chi/2)/rho pointwise, so the smooth part is positive
     # and the conical total curvature equals chi to round-off.
     R = (1.0 - 0.5 * lap_log) / rho
-    return BackgroundMetric(grid, divisor, float(eps), rho, log_rho, R, cone_term=delta / rho)
+    return BackgroundMetric(grid, float(eps), rho, log_rho, R, cone_term=delta / rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,8 +432,9 @@ class MetricState:
 
     A state is an immutable value: ``u`` is a read-only view, and a new
     conformal factor makes a new state.  So the fields derived from ``u``
-    (``mass``, ``scalar_curvature``, ``conical_curvature``) are computed on
-    first use and kept: every monitor of a sample reads the same arrays.
+    (``mass``, ``scalar_curvature``, ``conical_curvature``,
+    ``distance_rows``) are computed on first use and kept: every monitor of
+    a sample reads the same arrays.
     """
 
     background: BackgroundMetric
@@ -476,6 +478,25 @@ class MetricState:
         unresolved quadrature sliver of the bump).
         """
         return self.scalar_curvature - np.exp(-self.u) * self.background.cone_term
+
+    @cached_property
+    def distance_rows(self) -> dict:
+        """Graph geodesic distances from each of the grid's
+        ``diameter_nodes`` (the axis nodes and the marked nodes) to all
+        nodes, keyed by node.
+
+        8-neighbor Dijkstra with edge lengths scaled by e^(u/2); an upper
+        bound on the true distance and exactly a metric.  It converges at
+        first order only on the 1-D grid, where a row sums edge lengths
+        along the meridian; in 2-D the 8-neighbor stencil keeps a
+        direction-dependent excess (up to ~8% on the round sphere) that
+        refinement does not remove.  One multi-source pass on one edge
+        graph makes every row, and each row equals its single-source run
+        exactly.  This is the state's only distance pass.
+        """
+        nodes = self.grid.diameter_nodes
+        d = _csgraph_dijkstra(_edge_graph(self), directed=False, indices=nodes)
+        return {s: d[i, : self.grid.n] for i, s in enumerate(nodes)}
 
 
 def make_state(background: BackgroundMetric, u=None, t: float = 0.0) -> MetricState:
@@ -523,30 +544,9 @@ def _edge_graph(state: MetricState) -> sp.csr_matrix:
     return sp.csr_matrix((data, grid.graph.indices, grid.graph.indptr), shape=grid.graph.shape)
 
 
-def geodesic_rows(state: MetricState, nodes) -> dict:
-    """Graph geodesic distances from each source node to all nodes, keyed
-    by node.
-
-    8-neighbor Dijkstra with edge lengths scaled by e^(u/2); an upper bound
-    on the true distance and exactly a metric.  It converges at first order
-    only on the 1-D grid, where a row sums edge lengths along the meridian;
-    in 2-D the 8-neighbor stencil keeps a direction-dependent excess (up to
-    ~8% on the round sphere) that refinement does not remove.  The
-    edge graph is built once and one multi-source Dijkstra serves every
-    distinct node; each row equals its single-source run exactly.  This is
-    the only distance pass: the monitors below read its rows.
-    """
-    nodes = list(dict.fromkeys(nodes))
-    if not nodes:
-        return {}
-    d = _csgraph_dijkstra(_edge_graph(state), directed=False, indices=nodes)
-    return {s: d[i, : state.grid.n] for i, s in enumerate(nodes)}
-
-
-def pairwise_marked_distances(state: MetricState, rows: dict) -> np.ndarray:
-    """Symmetrized distances between the marked points; ``rows`` covers the
-    grid's ``marked_nodes``."""
-    nodes = state.grid.marked_nodes
+def pairwise_marked_distances(state: MetricState) -> np.ndarray:
+    """Symmetrized distances between the marked points."""
+    rows, nodes = state.distance_rows, state.grid.marked_nodes
     k = len(nodes)
     out = np.array([rows[n][nodes] for n in nodes]).reshape(k, k)
     return 0.5 * (out + out.T)
@@ -562,15 +562,11 @@ def ball_volume(state: MetricState, dist: np.ndarray, r: float) -> float:
     return float(np.sum(state.mass[dist <= r]))
 
 
-def diameter_estimate(state: MetricState, rows: dict) -> float:
-    """Max graph distance over the grid's ``diameter_nodes`` (marked points
-    plus the coordinate axes), whose rows ``rows`` covers; a diagnostic,
-    not a certified diameter."""
-    best = 0.0
-    for s in state.grid.diameter_nodes:
-        d = rows[s]
-        best = max(best, float(d[np.isfinite(d)].max()))
-    return best
+def diameter_estimate(state: MetricState) -> float:
+    """Max graph distance over the state's ``distance_rows``, from the
+    marked points and the coordinate axes; a diagnostic, not a certified
+    diameter."""
+    return max(float(d[np.isfinite(d)].max()) for d in state.distance_rows.values())
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ unnormalized W entropy, a mu upper bound, the metric Laplacian, the
 curvature expressions a state caches, a Gauss-curvature finite-difference
 oracle, a soliton profile's cone weights from its boundary slopes and its
 F(c) and entropy by quadrature, the geodesic graph built edge by edge), a
-test's shortcut to a grid node or to the distance rows a monitor reads, or
-a reader of the ``trace.csv`` a run writes.
+test's shortcut to a grid node or to a one-source distance pass, or a
+reader of the ``trace.csv`` a run writes.
 They live here so that ``src/conicflow`` holds only code a run reaches.
 """
 
@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import dijkstra
 
 from conicflow.functionals import ricci_potential
 from conicflow.geometry import (
@@ -25,8 +26,8 @@ from conicflow.geometry import (
     ROUND_R2,
     TWO_PI,
     MetricState,
+    _edge_graph,
     _nearest_node,
-    geodesic_rows,
     grad_sq_field,
     integrate,
 )
@@ -51,17 +52,15 @@ def nearest_node(grid, point) -> int:
     return _nearest_node(grid.n_lat, grid.n_lon, point)
 
 
+def node_distances(state: MetricState, node: int) -> np.ndarray:
+    """Graph distances from grid node ``node``: a one-source Dijkstra pass
+    on the state's edge graph, apart from its ``distance_rows``."""
+    return dijkstra(_edge_graph(state), directed=False, indices=node)[: state.grid.n]
+
+
 def distances_from(state: MetricState, point) -> np.ndarray:
-    """Graph distances from the node nearest ``point``: a one-source
-    :func:`geodesic_rows` pass."""
-    node = nearest_node(state.grid, point)
-    return geodesic_rows(state, [node])[node]
-
-
-def marked_point_rows(state: MetricState) -> dict:
-    """The rows the marked-point monitors read: one :func:`geodesic_rows`
-    pass from the grid's marked nodes."""
-    return geodesic_rows(state, state.grid.marked_nodes)
+    """Graph distances from the node nearest ``point``."""
+    return node_distances(state, nearest_node(state.grid, point))
 
 
 def geodesic_edges(n_lat: int, n_lon: int):

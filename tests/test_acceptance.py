@@ -26,7 +26,6 @@ from conftest import shipped_divisor
 from oracles import (
     distances_from,
     laplacian,
-    marked_point_rows,
     mu_estimate,
     profile_normalized_w,
 )
@@ -182,11 +181,11 @@ def test_criterion_5_conservation_and_monotonicity(shipped_runs):
 def test_criterion_6_stable_constant_curvature(shipped_results):
     res = shipped_results["stable"]
     state = res["trace"].final_state
-    stats = diag.curvature_stats(state, 0.25, marked_point_rows(state))
+    stats = diag.curvature_stats(state, 0.25)
     assert stats["sup_dev_half_chi"] < 5e-2
     start = geo.make_state(state.background)
-    d0 = geo.pairwise_marked_distances(start, marked_point_rows(start))
-    d1 = geo.pairwise_marked_distances(state, marked_point_rows(state))
+    d0 = geo.pairwise_marked_distances(start)
+    d1 = geo.pairwise_marked_distances(state)
     for i in range(3):
         for j in range(i + 1, 3):
             assert d1[i, j] >= 0.5 * d0[i, j], (i, j)
@@ -201,7 +200,7 @@ def test_criterion_6_stable_constant_curvature(shipped_results):
 
 def test_criterion_7_semistable_curvature(shipped_results):
     state = shipped_results["semistable"]["trace"].final_state
-    stats = diag.curvature_stats(state, 0.25, marked_point_rows(state))
+    stats = diag.curvature_stats(state, 0.25)
     assert stats["sup_dev_football"] < 5e-2
     ok(7, f"sup|R - 0.4| = {stats['sup_dev_football']:.2e} away from cones")
 
@@ -278,7 +277,7 @@ def test_criterion_8_residual_decay_to_floor(shipped_runs, football_control):
     tail = resid[burn_in(len(resid)):]
     assert np.all(np.diff(tail) <= 1e-9 + 0.01 * tail[:-1]), "not monotone after burn-in"
     v = fn.ricci_potential(football_control)
-    floor = fn.soliton_residual(football_control, v, marked_point_rows(football_control))
+    floor = fn.soliton_residual(football_control, v)
     # both floors sit at round-off; the absolute term is the noise scale of
     # the comparison
     assert resid[-1] <= 3.0 * floor + 1e-6
@@ -293,7 +292,7 @@ def test_criterion_8_partition_under_entropy_condition(shipped_results):
     table = sol.mu_table(shipped_divisor("unstable"))
     assert table.threshold is not None
     if mu0.value > table.threshold:
-        clusters, _ = diag.marked_point_clusters(state, 0.1, marked_point_rows(state))
+        clusters, _ = diag.marked_point_clusters(state, 0.1)
         assert clusters == [[0, 1], [2]]
         ok(8, f"mu_est(g0) = {mu0.value:.3f} > mu2 = {table.threshold:.3f}; partition {{3}} observed")
     else:  # pragma: no cover - condition held in all observed runs
@@ -350,9 +349,8 @@ def test_criterion_8_eps_halving_shrinks_gap(unstable_eps_sweep):
 
 def test_criterion_9_axisymmetric_profile_match(soliton_axis_result):
     state = soliton_axis_result["trace"].final_state
-    rows = marked_point_rows(state)
-    right = diag.compare_to_profile(state, sol.soliton_profile(0.8, 0.3), rows, margin=0.15)
-    wrong = diag.compare_to_profile(state, sol.soliton_profile(0.9, 0.2), rows, margin=0.15)
+    right = diag.compare_to_profile(state, sol.soliton_profile(0.8, 0.3), margin=0.15)
+    wrong = diag.compare_to_profile(state, sol.soliton_profile(0.9, 0.2), margin=0.15)
     assert right < 1e-2
     assert wrong >= 3.0 * right
     ok(9, f"L2 residual {right:.2e} vs {wrong:.2e} (factor {wrong / right:.1f})")

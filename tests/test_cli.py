@@ -126,6 +126,20 @@ class TestBadDivisorFile:
         assert code == 1
         assert err.startswith("error:") and msg in err
 
+    @pytest.mark.parametrize("command, text, msg", [
+        ("soliton-table", shipped_divisor("stable").to_json(), "no valid partitions"),
+        ("classify", '{"weights": []}', "at least one marked point"),
+        ("soliton-table", '{"weights": []}', "at least one marked point"),
+    ], ids=["soliton-table-stable", "classify-empty", "soliton-table-empty"])
+    def test_divisor_without_an_answer(self, capsys, tmp_path, command, text, msg):
+        # a well-formed divisor that has no class or no soliton table is an
+        # input error: exit 1 with one line, not a traceback
+        div = tmp_path / "div.json"
+        div.write_text(text)
+        code, out, err = run_cli(capsys, command, str(div))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and msg in err
+
 
 class TestRun:
     def test_run_produces_artifacts(self, capsys, tmp_path):

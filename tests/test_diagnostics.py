@@ -8,28 +8,28 @@ from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
-from oracles import distances_from, marked_point_rows
+from oracles import distances_from
 
 
 class TestCurvatureStats:
     def test_round_stationary(self, round_state):
         # no marked points: stats over (almost) the whole sphere
-        stats = diag.curvature_stats(round_state, 0.3, marked_point_rows(round_state))
+        stats = diag.curvature_stats(round_state, 0.3)
         assert stats["sup_dev_half_chi"] < 1e-10
 
     def test_exclusion_must_clear_cores(self, round_state):
         with pytest.raises(ValueError, match="2 eps"):
-            diag.curvature_stats(round_state, 0.1, marked_point_rows(round_state))
+            diag.curvature_stats(round_state, 0.1)
 
     def test_exclusion_cannot_cover_sphere(self):
         d = Divisor([0.5], [[0.3, 0.4, 0.5]])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
         with pytest.raises(ValueError, match="cover"):
-            diag.curvature_stats(st, 10.0, marked_point_rows(st))
+            diag.curvature_stats(st, 10.0)
 
     def test_football_state_near_target(self, football_control):
-        stats = diag.curvature_stats(football_control, 0.25, marked_point_rows(football_control))
+        stats = diag.curvature_stats(football_control, 0.25)
         assert stats["target_football"] == pytest.approx(0.45)
         assert stats["sup_dev_football"] < 5e-3
 
@@ -39,7 +39,7 @@ class TestClusters:
         d = Divisor([0.3, 0.3, 0.6])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
-        clusters, dmat = diag.marked_point_clusters(st, 0.1, marked_point_rows(st))
+        clusters, dmat = diag.marked_point_clusters(st, 0.1)
         assert clusters == [[0], [1], [2]]
         assert np.allclose(dmat, dmat.T)
 
@@ -47,12 +47,12 @@ class TestClusters:
         d = Divisor([0.3, 0.3, 0.6])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
-        clusters, _ = diag.marked_point_clusters(st, 100.0, marked_point_rows(st))
+        clusters, _ = diag.marked_point_clusters(st, 100.0)
         assert clusters == [[0, 1, 2]]
 
     def test_tol_validated(self, round_state):
         with pytest.raises(ValueError):
-            diag.marked_point_clusters(round_state, 0.0, marked_point_rows(round_state))
+            diag.marked_point_clusters(round_state, 0.0)
 
 
 class TestVolumeRatio:
@@ -98,15 +98,13 @@ class TestVolumeRatio:
 class TestCompareToProfile:
     def test_football_state_matches_football(self, football_control):
         prof = sol.soliton_profile(0.55, 0.55)
-        rows = marked_point_rows(football_control)
-        res = diag.compare_to_profile(football_control, prof, rows, margin=0.2)
+        res = diag.compare_to_profile(football_control, prof, margin=0.2)
         assert res < 5e-3
 
     def test_football_state_rejects_soliton_profile(self, football_control):
-        rows = marked_point_rows(football_control)
-        right = diag.compare_to_profile(football_control, sol.soliton_profile(0.55, 0.55), rows, margin=0.2)
+        right = diag.compare_to_profile(football_control, sol.soliton_profile(0.55, 0.55), margin=0.2)
         wrong = diag.compare_to_profile(
-            football_control, sol.soliton_profile(0.8, 0.3), rows, margin=0.2
+            football_control, sol.soliton_profile(0.8, 0.3), margin=0.2
         )
         assert wrong > 10.0 * right
 
@@ -116,9 +114,7 @@ class TestCompareToProfile:
         bg = geo.background_metric(grid, d, 0.05)
         st = geo.make_state(bg, 0.5 * np.cos(3 * grid.theta))
         st = geo.make_state(bg, st.u + math.log(2.0 / st.area()))
-        res = diag.compare_to_profile(
-            st, sol.soliton_profile(0.7, 0.4), marked_point_rows(st), margin=0.2
-        )
+        res = diag.compare_to_profile(st, sol.soliton_profile(0.7, 0.4), margin=0.2)
         assert res > 0.1
 
     def test_rotation_about_axis_invariance(self):
@@ -131,7 +127,7 @@ class TestCompareToProfile:
         bg1 = geo.background_metric(grid1, d1, 0.08)
         st1 = geo.make_state(bg1)
         prof = sol.soliton_profile(0.7, 0.2)
-        r1 = diag.compare_to_profile(st1, prof, marked_point_rows(st1), margin=0.2)
+        r1 = diag.compare_to_profile(st1, prof, margin=0.2)
 
         k = 32  # quarter turn in longitude
         ang = 2 * math.pi * k / 128
@@ -142,7 +138,7 @@ class TestCompareToProfile:
         grid2 = geo.build_grid(64, 128, d2)
         bg2 = geo.background_metric(grid2, d2, 0.08)
         st2 = geo.make_state(bg2)
-        r2 = diag.compare_to_profile(st2, prof, marked_point_rows(st2), margin=0.2)
+        r2 = diag.compare_to_profile(st2, prof, margin=0.2)
         assert r1 == pytest.approx(r2, rel=1e-10)
 
 

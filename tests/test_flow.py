@@ -528,8 +528,9 @@ class TestOrdering:
 
 
 class TestSharedGeodesicPass:
-    """A sample and a verdict each make one distance pass and read the
-    grid's nodes as it found them at build time: no point-to-node lookup."""
+    """A state makes one distance pass, however many monitors, verdicts and
+    reports read it, and the monitors read the grid's nodes as it found them
+    at build time: no point-to-node lookup."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -572,6 +573,22 @@ class TestSharedGeodesicPass:
         counts["nearest_node"] = 0  # the grid's own lookups at build time
         diag.detect_convergence(state)
         assert counts == {"edge_graph": 1, "dijkstra": 1, "nearest_node": 0}
+
+    def test_verdict_reuses_the_sample_pass(self, counts):
+        from conicflow import diagnostics as diag
+
+        cfg = small_config(initial="bump", seed=4)
+        state = self.bumped_state(cfg)
+        chow_s = min(0.0, float(state.conical_curvature.min())) - 0.05
+        fl._sample_record(state, fn.ricci_potential(state), chow_s, 0.0)
+        diag.detect_convergence(state)
+        assert (counts["edge_graph"], counts["dijkstra"]) == (1, 1)
+
+    def test_one_pass_per_report(self, counts, tmp_path):
+        cli.execute_run(small_config(initial="bump", seed=4, t_max=0.2), str(tmp_path))
+        counts.update(edge_graph=0, dijkstra=0)
+        assert cli.main(["report", str(tmp_path)]) in (cli.EXIT_OK, cli.EXIT_UNDECIDED)
+        assert (counts["edge_graph"], counts["dijkstra"]) == (1, 1)
 
 
 class TestAxisymmetric:

@@ -12,7 +12,6 @@ from oracles import (
     distances_from,
     f_beta_rate_oracle,
     laplacian,
-    marked_point_rows,
     mu_estimate,
     w_functional,
 )
@@ -199,24 +198,21 @@ class TestHamiltonEntropy:
 
 class TestSolitonResidual:
     def test_constant_v_zero(self, round_state):
-        rows = marked_point_rows(round_state)
-        assert fn.soliton_residual(round_state, np.zeros(round_state.grid.n), rows) == 0.0
+        assert fn.soliton_residual(round_state, np.zeros(round_state.grid.n)) == 0.0
 
     def test_conformal_killing_floor(self, round_state):
         grid = round_state.grid
         th = np.repeat(grid.theta, grid.n_lon)
         et = np.tile(grid.eta, grid.n_lat)
-        rows = marked_point_rows(round_state)
-        assert fn.soliton_residual(round_state, np.cos(th), rows) < 1e-4
-        assert fn.soliton_residual(round_state, np.sin(th) * np.cos(et), rows) < 1e-3
+        assert fn.soliton_residual(round_state, np.cos(th)) < 1e-4
+        assert fn.soliton_residual(round_state, np.sin(th) * np.cos(et)) < 1e-3
 
     def test_quadratic_in_amplitude(self, round_state):
         grid = round_state.grid
         th = np.repeat(grid.theta, grid.n_lon)
         bump = 1.5 * np.cos(th) ** 2 - 0.5
-        rows = marked_point_rows(round_state)
-        r1 = fn.soliton_residual(round_state, bump, rows)
-        r2 = fn.soliton_residual(round_state, 2.0 * bump, rows)
+        r1 = fn.soliton_residual(round_state, bump)
+        r2 = fn.soliton_residual(round_state, 2.0 * bump)
         assert r1 > 1.0
         assert r2 / r1 == pytest.approx(4.0, rel=1e-10)
 
@@ -229,11 +225,11 @@ class TestSolitonResidual:
         v = fn.ricci_potential(st)
         spread = v.max() - v.min()
         assert spread > 1.0  # genuinely non-constant potential
-        r_sol = fn.soliton_residual(st, v, marked_point_rows(st))
+        r_sol = fn.soliton_residual(st, v)
         # a non-soliton state of comparable potential spread for scale
         st2 = geo.make_state(bg, np.cos(np.repeat(grid.theta, 1)))
         v2 = fn.ricci_potential(st2)
-        assert r_sol < 0.05 * fn.soliton_residual(st2, v2, marked_point_rows(st2))
+        assert r_sol < 0.05 * fn.soliton_residual(st2, v2)
 
 
 class TestRateOracle:

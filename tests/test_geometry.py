@@ -9,10 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import dijkstra
 
-from conicflow import diagnostics as diag
 from conicflow import functionals as fn
 from conicflow import geometry as geo
-from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
 from oracles import (
     curvature_expressions,
@@ -22,6 +20,7 @@ from oracles import (
     geodesic_edges,
     laplacian,
     nearest_node,
+    node_distances,
 )
 
 
@@ -247,9 +246,10 @@ class TestBackground:
         grid = geo.build_axis_grid(64, own)
         with pytest.raises(ValueError, match="not the grid's"):
             geo.background_metric(grid, other, 0.1)
-        # an equal divisor built anew is the grid's own
+        # an equal divisor built anew is the grid's own, which the
+        # background reads
         same = Divisor([0.3, 0.6], [[0, 0, 1.0], [0, 0, -1.0]])
-        assert geo.background_metric(grid, same, 0.1).divisor == own
+        assert geo.background_metric(grid, same, 0.1).grid.divisor == same
 
     def test_unresolved_core_rejected(self):
         d = Divisor([0.5], [[0.3, 0.4, 0.5]])
@@ -404,7 +404,7 @@ class TestDistances:
             round_state.background, 0.5 * rng.standard_normal(round_state.grid.n)
         )
         nodes = rng.integers(0, st.grid.n, 9)
-        d = {n: geo.geodesic_rows(st, [int(n)])[int(n)] for n in nodes}
+        d = {n: node_distances(st, int(n)) for n in nodes}
         for a in nodes:
             for b in nodes:
                 for c in nodes:
@@ -417,8 +417,8 @@ class TestDistances:
         bump = np.abs(rng.standard_normal(grid.n)) * 0.2
         st1 = geo.make_state(round_state.background, u)
         st2 = geo.make_state(round_state.background, u + bump)
-        d1 = geo.geodesic_rows(st1, [0])[0]
-        d2 = geo.geodesic_rows(st2, [0])[0]
+        d1 = node_distances(st1, 0)
+        d2 = node_distances(st2, 0)
         assert np.all(d2 >= d1 - 1e-12)
 
 
@@ -450,7 +450,7 @@ class TestStateContract:
 
     def test_fields_are_kept(self, make_state):
         st = make_state()
-        for name in ("mass", "scalar_curvature", "conical_curvature"):
+        for name in ("mass", "scalar_curvature", "conical_curvature", "distance_rows"):
             assert getattr(st, name) is getattr(st, name)
         assert st.background.mass is st.background.mass
 
@@ -472,55 +472,35 @@ class TestStateContract:
 
 @pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])
 class TestSharedRows:
-    """Each consumer of one multi-source pass gives exactly what it gives
-    on the rows of one-source ``geodesic_rows(st, [n])`` calls."""
+    """A state's distance rows start from the grid's diameter nodes, each
+    row is a one-source Dijkstra pass on the edge-by-edge graph oracle, and
+    the distance monitors read them by node."""
 
     @staticmethod
     def one_source_rows(st, nodes):
-        return {n: geo.geodesic_rows(st, [n])[n] for n in nodes}
+        graph = edge_graph(st)
+        return {n: dijkstra(graph, directed=False, indices=n)[: st.grid.n] for n in nodes}
 
     def test_rows_equal_one_source_rows(self, make_state):
         st = make_state()
-        sources = st.grid.diameter_nodes
-        rows = geo.geodesic_rows(st, sources)
-        assert list(rows) == sources
-        one = self.one_source_rows(st, sources)
-        for s in sources:
-            assert np.array_equal(rows[s], one[s])
+        assert list(st.distance_rows) == st.grid.diameter_nodes
+        one = self.one_source_rows(st, st.grid.diameter_nodes)
+        for s, row in st.distance_rows.items():
+            assert np.array_equal(row, one[s])
 
     def test_monitors_equal_one_source_path(self, make_state):
         st = make_state()
         grid = st.grid
-        rows = geo.geodesic_rows(st, grid.diameter_nodes)
         one = self.one_source_rows(st, grid.diameter_nodes)
         nodes = grid.marked_nodes
         d = np.array([[one[a][b] for b in nodes] for a in nodes])
-        assert np.array_equal(geo.pairwise_marked_distances(st, rows), 0.5 * (d + d.T))
-        assert np.array_equal(geo.pairwise_marked_distances(st, one), 0.5 * (d + d.T))
+        assert np.array_equal(geo.pairwise_marked_distances(st), 0.5 * (d + d.T))
         for n in nodes:
             for r in (0.1, 0.2, 0.5):
                 want = float(np.sum(st.mass[one[n] <= r]))
-                assert geo.ball_volume(st, rows[n], r) == want
-                assert diag.volume_ratio(st, rows[n], r) == diag.volume_ratio(st, one[n], r)
+                assert geo.ball_volume(st, st.distance_rows[n], r) == want
         diameter = max(float(one[s].max()) for s in grid.diameter_nodes)
-        assert geo.diameter_estimate(st, rows) == diameter
-        assert geo.diameter_estimate(st, one) == diameter
-
-    def test_core_masks_equal_one_source_path(self, make_state):
-        st = make_state()
-        rows = geo.geodesic_rows(st, st.grid.diameter_nodes)
-        one = self.one_source_rows(st, st.grid.marked_nodes)
-        v = fn.ricci_potential(st)
-        assert fn.soliton_residual(st, v, rows) == fn.soliton_residual(st, v, one)
-        assert diag.curvature_stats(st, 0.25, rows) == diag.curvature_stats(st, 0.25, one)
-        assert diag.marked_point_clusters(st, 0.1, rows)[0] == (
-            diag.marked_point_clusters(st, 0.1, one)[0]
-        )
-        prof = sol.soliton_profile(0.6, 0.3)
-        margin = diag.PROFILE_MARGIN
-        assert diag.compare_to_profile(st, prof, rows, margin) == (
-            diag.compare_to_profile(st, prof, one, margin)
-        )
+        assert geo.diameter_estimate(st) == diameter
 
 
 @pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])
@@ -549,7 +529,7 @@ class TestFrozenValues:
         fn.f_beta(st), fn.ricci_potential(st)
         assert fn.h_background(bg) is h and bg.h is h
         assert len(calls) == 1
-        other = geo.background_metric(bg.grid, bg.divisor, 2 * bg.eps)
+        other = geo.background_metric(bg.grid, bg.grid.divisor, 2 * bg.eps)
         assert not np.array_equal(other.h, h)
         assert len(calls) == 1  # the grid's factor serves every background
 
@@ -559,11 +539,6 @@ class TestFrozenValues:
         for name in ("indptr", "indices", "data"):
             g, w = getattr(got, name), getattr(want, name)
             assert g.dtype == w.dtype and np.array_equal(g, w), name
-        nodes = st.grid.diameter_nodes
-        rows = geo.geodesic_rows(st, nodes)
-        d = dijkstra(want, directed=False, indices=nodes)
-        for i, s in enumerate(nodes):
-            assert np.array_equal(rows[s], d[i, : st.grid.n])
 
 
 def _on_node_32x64():

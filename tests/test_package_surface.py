@@ -8,6 +8,10 @@ or as a string constant (the benchmark names the functions it traces by
 string); an import alone does not count, so re-exporting a name from
 ``__init__.py`` keeps nothing alive.  Code that only the tests call belongs
 in ``tests/oracles.py``.
+
+Only ``geometry.py`` names the Dijkstra solver and the edge-graph builder,
+and it calls each once, so a state's ``distance_rows`` stay its only
+distance pass.
 """
 
 import ast
@@ -63,3 +67,27 @@ def unreferenced_names():
 def test_every_definition_has_a_caller_outside_the_tests():
     assert PERFBENCH.is_dir()
     assert unreferenced_names() == []
+
+
+#: what a distance pass needs; only ``geometry.py`` may name them
+DISTANCE_PASS = {"_csgraph_dijkstra", "_edge_graph"}
+
+
+def _names(tree):
+    """Each name the module reads, imports, defines or spells as a string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.alias):
+            yield node.asname or node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+    yield from (name for name, _ in _references(tree))
+
+
+def test_only_geometry_makes_a_distance_pass():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    naming = {mod for mod, tree in trees.items() if DISTANCE_PASS & set(_names(tree))}
+    assert naming == {"geometry"}
+    calls = [node.func.id for node in ast.walk(trees["geometry"])
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in DISTANCE_PASS]
+    assert sorted(calls) == sorted(DISTANCE_PASS)
