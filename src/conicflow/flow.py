@@ -16,6 +16,9 @@ the matrix's pattern, so on the 1-D grid the stepper computes the COLAMD
 order once per run and factors the pre-permuted matrix in natural order,
 which gives the same factor bit for bit; a 2-D grid orders at every
 factorization, because there pre-permuting changes the factor's round-off.
+Every factor also takes the grid's SuperLU panel (``SphereGrid.panel_size``):
+5 columns on the 1-D grid, whose tridiagonal factors gain nothing from wider
+panels and come out bit for bit the same, and scipy's default in 2-D.
 Where refinement stalls even against a fresh factor (the residual floor
 cond(A) u lies above the target, as on the 32768-row axis grid), each later
 step refactors and refines once instead.
@@ -42,7 +45,7 @@ from . import diagnostics as diag
 from . import functionals as fn
 from . import geometry as geo
 from . import soliton as sol
-from .marked_sphere import Divisor
+from .marked_sphere import MIN_SEPARATION, SEMISTABLE_TOL, Divisor
 
 INITIALS = ("zero", "bump", "soliton")
 
@@ -81,6 +84,11 @@ class FlowConfig:
     def __post_init__(self):
         if not isinstance(self.divisor, Divisor):
             raise ValueError(f"divisor must be a Divisor, got {self.divisor!r}")
+        # F_beta and the normalized W divide by chi = 2 - sum(weights)
+        chi = 2 - self.divisor.total()
+        if abs(chi) <= SEMISTABLE_TOL:
+            raise ValueError(f"the divisor's weights sum to 2 (chi = {float(chi):g}); "
+                             "the flow's functionals divide by chi")
         for name in ("eps", "dt", "t_max", "sample_every", "snapshot_every"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -224,6 +232,9 @@ class _ImplicitStepper:
     2-D grid orders at every factorization: there the pre-permuted factor
     is not bit for bit the same (solves differ by up to 3e-15 relative on
     the 64x128 unstable flow), and it factors only a few times per run.
+    Every factor, the order probe's included, takes the grid's
+    ``panel_size``: on the 1-D grid a 5-column panel cuts the cost of each
+    factorization by ~40% and leaves the factor bit for bit the same.
 
     Refinement cannot push the residual below about cond(A) u.  When it
     stalls against a factor built in the same call, that floor lies above
@@ -248,7 +259,8 @@ class _ImplicitStepper:
             # that of every diag(d) + L and is nonsingular.  scipy's perm_c
             # maps an original column to its place, so invert it.
             probe = A + sp.identity(grid.n, format="csc")
-            self.perm = np.argsort(spla.splu(probe, permc_spec=grid.ordering).perm_c)
+            self.perm = np.argsort(spla.splu(
+                probe, permc_spec=grid.ordering, panel_size=grid.panel_size).perm_c)
             # the probe factor's heap, left untrimmed, let the axis run's
             # peak RSS vary by 10-15 MB from process to process
             if _malloc_trim is not None:
@@ -271,15 +283,17 @@ class _ImplicitStepper:
 
     def _factor(self, d):
         self.A.data[self._diag] = self._L_diag + (d if self.perm is None else d[self.perm])
-        # a SuperLU factor of the 32768-row grid reserves ~70 MB of C heap
-        # and touches ~15 MB of it; dropping the old factor and trimming the
-        # heap before the next one makes that cost the same on every step,
-        # where otherwise the peak RSS and the page faults depend on where
-        # earlier blocks happened to land (a 150-270 MB peak from run to run)
+        # a SuperLU factor of the 32768-row grid at panel 5 reserves ~70 MB
+        # of C heap and touches ~7 MB of it (~15 MB at the default panel);
+        # dropping the old factor and trimming the heap before the next one
+        # makes that cost the same on every step, where otherwise the peak
+        # RSS and the page faults depend on where earlier blocks happened to
+        # land (a 150-270 MB peak from run to run)
         self.lu = None
         if _malloc_trim is not None:
             _malloc_trim(0)
-        self.lu = spla.splu(self.A, permc_spec=self._permc_spec)
+        self.lu = spla.splu(self.A, permc_spec=self._permc_spec,
+                            panel_size=self.bg.grid.panel_size)
         self.factorizations += 1
 
     def _backsolve(self, b):
@@ -298,6 +312,7 @@ class _ImplicitStepper:
             "worst_residual": self.worst_residual,
             "floor_above_target": self.floor_above_target,
             "ordering": self.bg.grid.ordering,
+            "panel_size": self.bg.grid.panel_size,
         }
 
     def solve(self, d, rhs):
@@ -429,6 +444,9 @@ def _initial_field(config: FlowConfig, bg: geo.BackgroundMetric) -> np.ndarray:
             raise ValueError("initial = soliton needs a 1- or 2-point divisor")
         w = div.weights_float()
         if div.k == 2:
+            # the profile puts the lighter cone at the antipode of the heavier
+            if np.linalg.norm(div.positions[0] + div.positions[1]) > MIN_SEPARATION:
+                raise ValueError("initial = soliton needs the two marked points antipodal")
             axis = div.positions[int(np.argmax(w))]
             prof = sol.soliton_profile(float(w.max()), float(w.min()))
         else:

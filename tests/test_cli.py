@@ -239,6 +239,22 @@ class TestRun:
         assert err.startswith("error:") and msg in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("divisor, initial, msg", [
+        (Divisor([0.3, 0.6], [[1, 0, 0], [0, 1, 0]]), "soliton", "two marked points antipodal"),
+        (Divisor([0.5] * 4), "zero", "weights sum to 2"),
+    ], ids=["soliton_start_off_the_antipode", "chi_zero"])
+    def test_divisor_the_run_cannot_take_is_usage_error(self, capsys, tmp_path, divisor,
+                                                        initial, msg):
+        # the soliton profile would put the lighter cone at the antipode of
+        # the heavier one, not where the divisor puts it; at chi = 0 the
+        # functionals divide by zero
+        cfg = tiny_config(tmp_path, divisor, initial=initial)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(capsys, "run", "--config", cfg, "--out", str(out_dir))
+        assert code == 1
+        assert err.startswith("error:") and msg in err
+        assert not out_dir.exists()
+
     def test_non_finite_config_value_is_usage_error(self, capsys, tmp_path):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"), epsilon="inf")
         code, _, err = run_cli(capsys, "run", "--config", cfg, "--out", str(tmp_path / "out"))

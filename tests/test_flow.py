@@ -59,6 +59,11 @@ class TestConfig:
             small_config(sample_every=0.0)
         with pytest.raises(ValueError, match="snapshot_every"):
             small_config(snapshot_every=-1.0)
+        # chi = 0: F_beta and the normalized W would divide by zero
+        with pytest.raises(ValueError, match="weights sum to 2"):
+            small_config(divisor=Divisor([F(1, 2)] * 4))
+        with pytest.raises(ValueError, match="weights sum to 2"):
+            small_config(divisor=Divisor([0.6, 0.7, 0.7]))
 
     @pytest.mark.parametrize("name", ["eps", "dt", "t_max", "sample_every", "snapshot_every"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -464,14 +469,16 @@ class TestImplicitStepper:
         assert 0 < solver["factorizations"] <= solver["backsolves"]
         assert solver["floor_above_target"] is False
         assert 0.0 < solver["worst_residual"] <= 1e-12
+        assert solver["panel_size"] is None  # scipy's default on a 2-D grid
 
 
 class TestOrdering:
-    @pytest.mark.parametrize("cfg, ordering", [
-        (small_config(initial="bump", seed=2, t_max=0.04), "MMD_AT_PLUS_A"),
-        (replace(axis_config(4096, 6e-4), t_max=0.1), "COLAMD"),
+    @pytest.mark.parametrize("cfg, ordering, panel_size", [
+        (small_config(initial="bump", seed=2, t_max=0.04), "MMD_AT_PLUS_A", None),
+        (replace(axis_config(4096, 6e-4), t_max=0.1), "COLAMD", 5),
     ], ids=["grid_32x64", "axis_4096"])
-    def test_every_factor_takes_the_grid_ordering(self, monkeypatch, cfg, ordering):
+    def test_every_factor_takes_the_grid_ordering(self, monkeypatch, cfg, ordering,
+                                                  panel_size):
         calls = []
 
         def splu(A, **kw):
@@ -497,6 +504,35 @@ class TestOrdering:
         assert set(grounded) == {ordering}
         assert len(stepper) + len(grounded) == len(calls)
         assert tr.solver["ordering"] == ordering
+        # and the grid's panel: 5 for the tridiagonal 1-D factors, scipy's
+        # default on 2-D grids
+        assert [kw["panel_size"] for _, kw in calls] == [panel_size] * len(calls)
+        assert tr.solver["panel_size"] == panel_size
+
+    def test_panel_of_5_gives_the_default_factors_on_the_shipped_axis_grid(self):
+        # the panel only saves work: on the shipped 32768-row grid the
+        # stepper's factor and the grounded factor are bit for bit those of
+        # scipy's default panel, so no trace of the axis run moves
+        cfg = shipped_config("soliton_axis")
+        grid = fl.build_run_grid(cfg)
+        assert (grid.n, grid.panel_size) == (32768, 5)
+        bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
+        state, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, bg)))
+        stepper = fl._ImplicitStepper(bg)
+        fl._semi_implicit_step(state, cfg.dt, stepper)
+        assert stepper.factorizations >= 1
+        pairs = [
+            (stepper.lu, spla.splu(stepper.A, permc_spec=stepper._permc_spec)),
+            (grid._ground_lu, spla.splu(grid.L[1:, 1:].tocsc(), permc_spec=grid.ordering)),
+        ]
+        for lu, default in pairs:
+            for name in ("perm_r", "perm_c"):
+                assert np.array_equal(getattr(lu, name), getattr(default, name))
+            for name in ("L", "U"):
+                m, ref = getattr(lu, name), getattr(default, name)
+                assert np.array_equal(m.indptr, ref.indptr)
+                assert np.array_equal(m.indices, ref.indices)
+                assert np.array_equal(m.data, ref.data)
 
     def test_minimum_degree_solves_agree_with_colamd(self, monkeypatch):
         # measured on this run: stepper solves within 9.8e-13 of a fresh

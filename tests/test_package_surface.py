@@ -12,6 +12,9 @@ in ``tests/oracles.py``.
 Only ``geometry.py`` names the Dijkstra solver and the edge-graph builder,
 and it calls each once, so a state's ``distance_rows`` stay its only
 distance pass.
+
+Every SuperLU factor takes the grid's ordering and panel by keyword, so a
+new factor site cannot fall back to SuperLU's own choices.
 """
 
 import ast
@@ -91,3 +94,21 @@ def test_only_geometry_makes_a_distance_pass():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in DISTANCE_PASS]
     assert sorted(calls) == sorted(DISTANCE_PASS)
+
+
+#: what every ``splu`` call in the package passes (``SphereGrid.ordering``
+#: and ``SphereGrid.panel_size``, or the 1-D stepper's pre-permuted order)
+FACTOR_KEYWORDS = {"permc_spec", "panel_size"}
+
+
+def test_every_factor_names_its_ordering_and_panel():
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
+                    node.func, "id", None)
+                if name == "splu":
+                    calls.append((path.stem, {kw.arg for kw in node.keywords}))
+    assert {mod for mod, _ in calls} == {"flow", "geometry"}
+    assert [mod for mod, kws in calls if not FACTOR_KEYWORDS <= kws] == []
