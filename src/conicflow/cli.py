@@ -256,14 +256,18 @@ def _sweep_value(key: str, val: str):
     if key == "config":
         return val
     if key.startswith("sweep_") and key[6:] in fl.CONFIG_KEYS.keys() - {"divisor"}:
-        return [fl.parse_config_value(key[6:], v.strip())[1] for v in val.split(",") if v.strip()]
+        values = [fl.parse_config_value(key[6:], v.strip())[1] for v in val.split(",") if v.strip()]
+        for i, v in enumerate(values):
+            if v in values[:i]:  # its run would write the same directory twice
+                raise ValueError(f"repeated value {v!r}")
+        return values
     raise ValueError(f"unknown key {key!r}")
 
 
 def parse_sweep_file(path: str):
     """Sweep schema: a base ``config = path`` line plus ``sweep_<key> = v1, v2``
-    lists, for any run-config key except ``divisor``; the cartesian product
-    over all sweep lists defines the runs."""
+    lists, for any run-config key except ``divisor``, with no value repeated
+    once typed; the cartesian product over all sweep lists defines the runs."""
     try:
         with open(path) as fh:
             items = fl.read_key_values(fh.read(), "sweep", _sweep_value, "config",

@@ -19,7 +19,7 @@ import numpy as np
 from . import functionals as fn
 from . import geometry as geo
 from . import soliton as sol
-from .marked_sphere import Divisor, StabilityClass, classify_stability, enumerate_partitions
+from .marked_sphere import StabilityClass, classify_stability, enumerate_partitions
 
 #: uniform cumulative-area bins of :func:`curvature_area_curve`
 PROFILE_BINS = 64
@@ -204,30 +204,6 @@ def profile_state(
     return geo.make_state(background, state.u + math.log(2.0 / state.area()))
 
 
-def football_control_state(
-    n_lat: int, n_lon: int, beta: float, eps: float
-) -> geo.MetricState:
-    """The discretization's own constant-curvature football at these
-    parameters: a two-cone flow run to its fixed point.
-
-    Sampling the closed-form football directly would inherit the eps-core
-    area deficit (a uniform curvature bias of order eps^(2-2 beta)); the
-    converged flow state is the self-consistent football, and its soliton
-    residual is the honest floor for verdicts at this resolution.
-    """
-    from . import flow as fl  # deferred: flow imports this module
-
-    if n_lon == 1:
-        div = Divisor([beta, beta], [[0, 0, 1.0], [0, 0, -1.0]])
-    else:
-        div = Divisor([beta, beta], [[1.0, 0, 0], [-1.0, 0, 0]])
-    config = fl.FlowConfig(
-        divisor=div, n_lat=n_lat, n_lon=n_lon, eps=eps,
-        dt=0.02, t_max=40.0, sample_every=1.0, auto_stop=True,
-    )
-    return fl.run(config).final_state
-
-
 # ----------------------------------------------------------------------
 # verdicts
 # ----------------------------------------------------------------------
@@ -238,20 +214,19 @@ def _residual_floor(state, profile):
 
     For two-point axisymmetric states the floor is the residual of the
     closed-form profile sampled on the same background (the eps-sampling
-    noise an exact orbit state carries); otherwise the converged football
-    on the state's grid, at its eps or at the smallest eps that grid
-    resolves, serves as the reference.
+    noise an exact orbit state carries).  Otherwise the reference is the
+    discretization's own football, a fixed point of the discrete flow:
+    its conical curvature is constant, so its Ricci potential is constant
+    and its residual is exactly 0, which leaves the verdict's clamp as the
+    floor.
     """
     bg, divisor = state.background, state.grid.divisor
     if state.grid.n_lon == 1 and divisor.k == 2:
         w = divisor.weights_float()
         axis = divisor.positions[int(np.argmax(w))]
         ref = profile_state(bg, profile, axis)
-    else:
-        ctrl_lat, ctrl_lon = state.grid.n_lat, state.grid.n_lon
-        ctrl_eps = max(bg.eps, 1.01 * math.pi / (ctrl_lat * math.sqrt(2.0)))
-        ref = football_control_state(ctrl_lat, ctrl_lon, 0.5 * (2.0 - bg.chi()), ctrl_eps)
-    return fn.soliton_residual(ref, fn.ricci_potential(ref))
+        return fn.soliton_residual(ref, fn.ricci_potential(ref))
+    return 0.0
 
 
 @dataclass
@@ -297,6 +272,12 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
     and an entropy match against the partition table.  Anything else is
     Undecided.  Everything is read from ``final_state``, its divisor from
     its grid.
+
+    The control floor runs no flow.  On 1-D two-point states it is the
+    residual of the sampled closed-form profile; elsewhere its reference is
+    a discrete fixed point, whose constant curvature gives a constant
+    Ricci potential and a residual of exactly 0, so the floor is the
+    1e-12 clamp.
     """
     import warnings
 

@@ -15,6 +15,7 @@ from conicflow import cli  # noqa: E402
 from conicflow import flow as fl  # noqa: E402
 from conicflow import geometry as geo  # noqa: E402
 from conicflow.marked_sphere import Divisor  # noqa: E402
+from oracles import football_control_state  # noqa: E402
 
 CONFIG_DIR = os.path.join(os.path.dirname(conicflow.__file__), "configs")
 
@@ -136,13 +137,9 @@ def soliton_axis_result(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def football_control():
-    from conicflow import diagnostics as diag
-
-    return diag.football_control_state(64, 128, 0.55, 0.05)
+    return football_control_state(64, 128, 0.55, 0.05)
 
 
 @pytest.fixture(scope="session")
 def football_control_beta06():
-    from conicflow import diagnostics as diag
-
-    return diag.football_control_state(64, 128, 0.6, 0.05)
+    return football_control_state(64, 128, 0.6, 0.05)

@@ -5,8 +5,9 @@ a quantity the package computes another way (the F dissipation rate, the
 unnormalized W entropy, a mu upper bound, the metric Laplacian, the
 curvature expressions a state caches, a Gauss-curvature finite-difference
 oracle, a soliton profile's cone weights from its boundary slopes and its
-F(c) and entropy by quadrature, the geodesic graph built edge by edge), a
-test's shortcut to a grid node or to a one-source distance pass, or a
+F(c) and entropy by quadrature, the geodesic graph built edge by edge, the
+constant-curvature football as the end state of a flow run), a test's
+shortcut to a grid node or to a one-source distance pass, or a
 reader of the ``trace.csv`` a run writes.
 They live here so that ``src/conicflow`` holds only code a run reaches.
 """
@@ -20,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra
 
+from conicflow import flow as fl
 from conicflow.functionals import ricci_potential
 from conicflow.geometry import (
     FOUR_PI,
@@ -31,6 +33,7 @@ from conicflow.geometry import (
     grad_sq_field,
     integrate,
 )
+from conicflow.marked_sphere import Divisor
 from conicflow.soliton import RadialProfile, _theta_closed
 
 
@@ -257,6 +260,33 @@ def mu_estimate(state: MetricState, budget: int = 60) -> MuEstimate:
     if not np.isfinite(w):
         raise RuntimeError("entropy descent diverged")
     return MuEstimate(w, history=np.asarray(history), iterations=it)
+
+
+# ----------------------------------------------------------------------
+# flow
+# ----------------------------------------------------------------------
+
+
+def football_control_state(
+    n_lat: int, n_lon: int, beta: float, eps: float
+) -> MetricState:
+    """The discretization's own constant-curvature football at these
+    parameters: a two-cone flow run to its fixed point.
+
+    Sampling the closed-form football directly would inherit the eps-core
+    area deficit (a uniform curvature bias of order eps^(2-2 beta)); the
+    converged flow state is the self-consistent football, and its soliton
+    residual is the honest floor for verdicts at this resolution.
+    """
+    if n_lon == 1:
+        div = Divisor([beta, beta], [[0, 0, 1.0], [0, 0, -1.0]])
+    else:
+        div = Divisor([beta, beta], [[1.0, 0, 0], [-1.0, 0, 0]])
+    config = fl.FlowConfig(
+        divisor=div, n_lat=n_lat, n_lon=n_lon, eps=eps,
+        dt=0.02, t_max=40.0, sample_every=1.0, auto_stop=True,
+    )
+    return fl.run(config).final_state
 
 
 # ----------------------------------------------------------------------

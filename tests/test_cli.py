@@ -470,6 +470,9 @@ class TestSweep:
                           ("sweep_initial = zero, sine", "unknown initial condition"),
                           ("sweep_t_max = 0.1, inf", "t_max must be finite"),
                           ("sweep_dt = 1e-310", "t_max / dt must be finite"),
+                          # one value once typed: both runs would write run_dt0.05
+                          ("sweep_dt = 0.05, 0.050", "line 2: repeated value 0.05"),
+                          ("sweep_seed = 1, 2, 01", "line 2: repeated value 1"),
                           ("sweep_dt = 0.5\nsweep_dt = 0.25", "line 3: duplicate key 'sweep_dt'"),
                           ("config = run.cfg\nsweep_seed = 1", "line 2: duplicate key 'config'")):
             sweep.write_text(f"config = run.cfg\n{line}\n")

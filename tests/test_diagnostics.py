@@ -215,6 +215,31 @@ class TestDetectConvergence:
         assert fine.verdict == coarse.verdict == "ConstantCurvature"
         assert fine.clusters == coarse.clusters == [[0], [1], [2]]
 
+    def test_two_dimensional_soliton_branch_runs_no_flow(self, monkeypatch):
+        # two clusters on a 2-D grid reach the soliton branch; its residual
+        # floor is the exact 0 of a discrete fixed point, not a flow run
+        from conicflow import flow as fl
+
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the verdict ran a flow")
+
+        monkeypatch.setattr(fl, "_run_loop", no_flow)
+        d = Divisor([0.3, 0.6], [[1, 0, 0], [-1, 0, 0]])
+        grid = geo.build_grid(32, 64, d)
+        rep = diag.detect_convergence(geo.make_state(geo.background_metric(grid, d, 0.1)))
+        assert rep.clusters == [[0], [1]]
+        assert rep.verdict == "Undecided"
+        assert rep.residuals["soliton_residual_floor"] == 0.0
+        assert rep.residuals["soliton_residual"] == pytest.approx(2.766, rel=1e-3)
+        assert rep.residuals["profile_residual"] == pytest.approx(0.1381, rel=1e-3)
+        assert rep.residuals["w_gap"] == pytest.approx(0.1376, rel=1e-3)
+
+    def test_football_control_residual_is_round_off(self, football_control):
+        # the discrete fixed point has constant curvature, hence a constant
+        # Ricci potential: the 0.0 floor of the 2-D soliton branch
+        fc = football_control
+        assert fn.soliton_residual(fc, fn.ricci_potential(fc)) < 1e-12
+
     def test_two_point_football_verdict(self):
         # the shipped semi-stable run stalls in three clusters at eps = 0.05,
         # so the Football branch is exercised on the two-point football,

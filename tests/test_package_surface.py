@@ -15,6 +15,10 @@ distance pass.
 
 Every SuperLU factor takes the grid's ordering and panel by keyword, so a
 new factor site cannot fall back to SuperLU's own choices.
+
+The modules import one another in one order, marked_sphere < soliton <
+geometry < functionals < diagnostics < flow < cli, with no deferred
+import to break a cycle; only ``__init__.py`` stands outside it.
 """
 
 import ast
@@ -112,3 +116,41 @@ def test_every_factor_names_its_ordering_and_panel():
                     calls.append((path.stem, {kw.arg for kw in node.keywords}))
     assert {mod for mod, _ in calls} == {"flow", "geometry"}
     assert [mod for mod, kws in calls if not FACTOR_KEYWORDS <= kws] == []
+
+
+#: the package's modules, each importing only modules to its left
+LAYERS = ("marked_sphere", "soliton", "geometry", "functionals", "diagnostics", "flow", "cli")
+
+
+def _package_imports(tree):
+    """(line, module) of each import of a package module, at any depth; an
+    import from the package itself (``from . import __version__``) names
+    ``__init__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("conicflow."):
+                    yield node.lineno, alias.name.split(".")[1]
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level and parts[0] != "conicflow":
+                continue
+            module = parts[0] if node.level else (parts + [""])[1]
+            if module:
+                yield node.lineno, module
+            else:
+                for alias in node.names:
+                    yield node.lineno, alias.name if alias.name in LAYERS else "__init__"
+
+
+def test_imports_form_the_layer_order():
+    assert {path.stem for path in PACKAGE.glob("*.py")} == set(LAYERS) | {"__init__"}
+    upward = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        rank = LAYERS.index(path.stem)
+        for line, module in _package_imports(ast.parse(path.read_text())):
+            if module != "__init__" and LAYERS.index(module) >= rank:
+                upward.append(f"{path.stem}:{line} imports {module}")
+    assert upward == []
