@@ -322,15 +322,15 @@ class _ImplicitStepper:
             fresh = self.lu is None
             if fresh:
                 self._factor(d)
-            x = self._backsolve(rhs)
+            x = None
             for _ in range(12):
+                x = self._backsolve(rhs) if x is None else x + self._backsolve(r)
                 r = rhs - (d * x + L @ x)
                 res = float(np.linalg.norm(r))
                 if res <= 1e-12 * norm:
                     if fresh:
                         self.worst_residual = max(self.worst_residual, res / norm)
                     return x
-                x = x + self._backsolve(r)
             if fresh:
                 self.floor_above_target = True
             self.stall_refactorizations += 1

@@ -18,9 +18,10 @@ Moment-coordinate calculus used throughout the package:
     |grad f|^2         = phi (f')^2 / 2
     scalar curvature R = -phi'' / 2
 
-scipy.optimize loads only when a closed form is solved for c (the first
-call of :func:`solve_c`), so a flow that never solves one does not pay
-for it.
+c is solved by this module's own port of Brent's method (R. P. Brent,
+*Algorithms for Minimization without Derivatives*, 1973, ch. 4), step for
+step as scipy.optimize.brentq, so no package module imports scipy.optimize
+(~15 MB of resident memory and ~0.13 s to load).
 """
 
 from __future__ import annotations
@@ -65,6 +66,58 @@ def _dtau_dc(c: float) -> float:
     return 1.0 / (c * c) - 1.0 / (s * s)
 
 
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """Root of ``f`` on the sign-changing bracket [a, b] by Brent's method.
+
+    Repeats scipy.optimize.brentq (scipy's ``Zeros/brentq.c``) operation
+    for operation: the same bracket swap, interpolation/extrapolation test
+    and step floor, so it returns the same float.  Raises ValueError when
+    f(a) and f(b) have the same sign, RuntimeError after ``maxiter``
+    iterations without convergence.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # keep the best estimate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def solve_c(tau: float) -> float:
     """Unique c with tau_of_c(c) = tau, for |tau| < 1."""
     tau = float(tau)
@@ -75,10 +128,7 @@ def solve_c(tau: float) -> float:
     t = abs(tau)
     # tau(c) ~ 1 - 1/c for large c, so c < 1/(1-t) + 2 brackets the root
     hi = 1.0 / (1.0 - t) + 2.0
-    # deferred, so that only a soliton solve loads scipy.optimize (~17 MB)
-    from scipy.optimize import brentq
-
-    c = brentq(lambda x: tau_of_c(x) - t, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+    c = _brentq(lambda x: tau_of_c(x) - t, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
     for _ in range(2):  # Newton polish for the round-trip guarantee
         d = _dtau_dc(c)
         if d <= 0:

@@ -5,8 +5,9 @@ a quantity the package computes another way (the F dissipation rate, the
 unnormalized W entropy, a mu upper bound, the metric Laplacian, the
 curvature expressions a state caches, a Gauss-curvature finite-difference
 oracle, a soliton profile's cone weights from its boundary slopes and its
-F(c) and entropy by quadrature, the geodesic graph built edge by edge, the
-constant-curvature football as the end state of a flow run), a test's
+F(c) and entropy by quadrature, a closed-form profile sampled as a state
+with its whole m(x) table in one pass, the geodesic graph built edge by
+edge, the constant-curvature football as the end state of a flow run), a test's
 shortcut to a grid node or to a one-source distance pass, or a
 reader of the ``trace.csv`` a run writes.
 They live here so that ``src/conicflow`` holds only code a run reaches.
@@ -27,11 +28,13 @@ from conicflow.geometry import (
     FOUR_PI,
     ROUND_R2,
     TWO_PI,
+    BackgroundMetric,
     MetricState,
     _edge_graph,
     _nearest_node,
     grad_sq_field,
     integrate,
+    make_state,
 )
 from conicflow.marked_sphere import Divisor
 from conicflow.soliton import RadialProfile, _theta_closed
@@ -328,3 +331,29 @@ def profile_normalized_w(prof: RadialProfile, n: int = 200) -> float:
     grad2 = 0.5 * prof.phi_of(x) * prof.c**2
     integrand = ((R + grad2) / prof.chi - th) * np.exp(th)
     return float(np.sum(w * integrand))
+
+
+def profile_state_whole(
+    background: BackgroundMetric, profile: RadialProfile, axis=(0.0, 0.0, 1.0)
+) -> MetricState:
+    """``diagnostics.profile_state`` with its trapezoid table of
+    m(x) = integral dx/phi built as whole arrays in one pass."""
+    grid = background.grid
+    axis = np.asarray(axis, dtype=float)
+    axis = axis / np.linalg.norm(axis)
+    pos = grid.positions()
+    cosg = np.clip(pos @ axis, -1.0, 1.0)
+    gamma = np.clip(np.arccos(cosg), 1e-12, math.pi - 1e-12)
+    m_node = -np.log(np.tan(0.5 * gamma))  # +inf at the beta_p end
+    xs = np.linspace(-1.0 + 1e-12, 1.0 - 1e-12, 400001)
+    inv_phi = 1.0 / profile.phi_of(xs)
+    m_of_x = np.concatenate([[0.0], np.cumsum(0.5 * (inv_phi[1:] + inv_phi[:-1]) * np.diff(xs))])
+    m_of_x -= m_of_x[len(m_of_x) // 2]
+    x_node = np.interp(m_node, m_of_x, xs)
+    rho = profile.phi_of(x_node) / np.sin(gamma) ** 2
+    e2 = background.eps**2
+    for s, b in ((1.0 - cosg, profile.beta_p), (1.0 + cosg, profile.beta_q)):
+        if b > 0.0:
+            rho *= (s / (s + e2)) ** b
+    state = make_state(background, np.log(rho) - background.log_rho)
+    return make_state(background, state.u + math.log(2.0 / state.area()))

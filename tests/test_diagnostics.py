@@ -8,7 +8,7 @@ from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow import soliton as sol
 from conicflow.marked_sphere import Divisor
-from oracles import distances_from
+from oracles import distances_from, profile_state_whole
 
 
 class TestCurvatureStats:
@@ -140,6 +140,36 @@ class TestCompareToProfile:
         st2 = geo.make_state(bg2)
         r2 = diag.compare_to_profile(st2, prof, margin=0.2)
         assert r1 == pytest.approx(r2, rel=1e-10)
+
+
+class TestProfileState:
+    @pytest.mark.parametrize(
+        "beta_p, beta_q",
+        [(0.8, 0.3), (0.5, 0.0), (0.6, 0.6)],
+        ids=["two-point", "teardrop", "football"],
+    )
+    @pytest.mark.parametrize("n_lon", [1, 64], ids=["axis", "2d"])
+    def test_blocked_table_matches_whole_array(self, beta_p, beta_q, n_lon):
+        # 400,001 samples is not a multiple of the block size, so the last
+        # block is a partial one; the football takes the c = 0 branch
+        assert 400000 % diag._QUAD_BLOCK != 0
+        north, south = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        if n_lon == 64:
+            north, south = [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]
+        if beta_q > 0.0:
+            d = Divisor([beta_p, beta_q], [north, south])
+        else:
+            d = Divisor([beta_p], [north])
+        if n_lon == 1:
+            grid, eps = geo.build_axis_grid(1024, d), 0.005
+        else:
+            grid, eps = geo.build_grid(32, 64, d), 0.1
+        bg = geo.background_metric(grid, d, eps)
+        prof = sol.soliton_profile(beta_p, beta_q)
+        got = diag.profile_state(bg, prof, north).u
+        want = profile_state_whole(bg, prof, north).u
+        assert np.all(np.isfinite(got))
+        assert np.array_equal(got, want)
 
 
 class TestDetectConvergence:

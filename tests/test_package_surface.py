@@ -19,6 +19,9 @@ new factor site cannot fall back to SuperLU's own choices.
 The modules import one another in one order, marked_sphere < soliton <
 geometry < functionals < diagnostics < flow < cli, with no deferred
 import to break a cycle; only ``__init__.py`` stands outside it.
+
+No module imports ``scipy.optimize``: the soliton's root-finder is the
+package's own, and the import alone costs ~15 MB of resident memory.
 """
 
 import ast
@@ -154,3 +157,24 @@ def test_imports_form_the_layer_order():
             if module != "__init__" and LAYERS.index(module) >= rank:
                 upward.append(f"{path.stem}:{line} imports {module}")
     assert upward == []
+
+
+def _imported_modules(tree):
+    """Dotted name of each module an import names, at any depth
+    (``from scipy import optimize`` names ``scipy.optimize``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module
+            yield from (f"{node.module}.{alias.name}" for alias in node.names)
+
+
+def test_no_module_imports_scipy_optimize():
+    importing = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
+               for name in _imported_modules(ast.parse(path.read_text())))
+    ]
+    assert importing == []

@@ -81,30 +81,91 @@ class TestSolveC:
             with pytest.raises(ValueError):
                 sol.solve_c(tau)
 
-    def test_root_finder_loads_on_first_solve(self, tmp_path):
-        # a fresh interpreter, so that no other test's imports mask a
-        # module-level scipy.optimize import on the run path
+    def test_soliton_run_never_loads_scipy_optimize(self, tmp_path):
+        # a fresh interpreter, so that no other test's imports mask an
+        # import of scipy.optimize on the soliton start or the verdict
         script = textwrap.dedent(
             f"""
             import json, sys
             from dataclasses import replace
             from conicflow import cli, flow as fl, soliton as sol
-            cfg = fl.parse_config_file({os.path.join(CONFIG_DIR, "stable.cfg")!r})
-            cfg = replace(cfg, n_lat=32, n_lon=64, eps=0.1, t_max=0.05, sample_every=0.01)
-            cli.execute_run(cfg, {str(tmp_path / "run")!r})
-            after_run = "scipy.optimize" in sys.modules
+            cfg = fl.parse_config_file({os.path.join(CONFIG_DIR, "soliton_axis.cfg")!r})
+            cfg = replace(cfg, n_lat=256, eps=0.01, t_max=0.05, sample_every=0.01)
+            result = cli.execute_run(cfg, {str(tmp_path / "run")!r})
             c = sol.solve_c(5 / 9)
-            print(json.dumps([after_run, c, "scipy.optimize" in sys.modules]))
+            floor = result["report"].residuals["soliton_residual_floor"]
+            print(json.dumps([floor, c, "scipy.optimize" in sys.modules]))
             """
         )
         src = os.path.dirname(os.path.dirname(sol.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        after_run, c, after_solve = json.loads(out.stdout.splitlines()[-1])
-        assert not after_run, "a stable 2-D run loaded scipy.optimize"
+        floor, c, loaded = json.loads(out.stdout.splitlines()[-1])
+        assert floor > 0.0  # the verdict sampled the closed-form profile
         assert c == 2.1078882584359344
-        assert after_solve
+        assert not loaded, "a soliton run loaded scipy.optimize"
+
+
+class TestBrentq:
+    """``soliton._brentq`` is scipy.optimize.brentq, float for float."""
+
+    TAUS = np.concatenate(
+        [
+            np.linspace(0.0, 1.0, 2001)[1:-1],
+            np.geomspace(1e-14, 1e-3, 200),  # tau -> 0
+            1.0 - np.geomspace(1e-14, 1e-3, 200),  # tau -> 1
+            # around the series/closed-form crossover of tau_of_c
+            sol.tau_of_c(sol.SERIES_CUTOFF) * np.linspace(0.99, 1.01, 201),
+        ]
+    )
+
+    def test_matches_scipy(self):
+        from scipy.optimize import brentq
+
+        for t in self.TAUS:
+            t = float(t)
+            hi = 1.0 / (1.0 - t) + 2.0
+            f = lambda x: sol.tau_of_c(x) - t
+            want = brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
+            assert sol._brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16) == want, t
+
+    def test_solve_c_matches_scipy_root(self):
+        # solve_c's route with scipy's root-finder: its root, then the same
+        # two Newton steps
+        from scipy.optimize import brentq
+
+        for t in self.TAUS:
+            t = float(t)
+            c = brentq(lambda x: sol.tau_of_c(x) - t, 0.0, 1.0 / (1.0 - t) + 2.0, xtol=1e-14, rtol=8.9e-16)
+            for _ in range(2):
+                d = sol._dtau_dc(c)
+                if d <= 0:
+                    break
+                c -= (sol.tau_of_c(c) - t) / d
+            assert sol.solve_c(t) == c, t
+            assert sol.solve_c(-t) == -c, t
+
+    def test_sign_error(self):
+        from scipy.optimize import brentq
+
+        f = lambda x: x * x + 2.0
+        with pytest.raises(ValueError, match="different signs"):
+            brentq(f, 0.0, 2.0)
+        with pytest.raises(ValueError, match="different signs"):
+            sol._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16)
+
+    def test_non_convergence(self):
+        from scipy.optimize import brentq
+
+        f = lambda x: x * x - 2.0
+        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+            brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
+        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
+            sol._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
+        want = brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=100)
+        assert sol._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16) == want
+        assert want == pytest.approx(math.sqrt(2.0), abs=1e-14)
 
 
 class TestFOfC:
