@@ -22,12 +22,10 @@ from .marked_sphere import (  # noqa: F401
 )
 from .soliton import (  # noqa: F401
     MuTable,
-    RadialProfile,
     SolitonSpec,
     f_of_c,
     mu_table,
     solve_c,
     soliton_profile,
-    soliton_w,
     tau_of_c,
 )

@@ -143,8 +143,7 @@ def cmd_soliton_table(args) -> int:
     if args.profiles:
         os.makedirs(args.profiles, exist_ok=True)
         for i, spec in enumerate(table.entries):
-            prof = sol.soliton_profile(spec.beta_p, spec.beta_q)
-            prof.to_csv(os.path.join(
+            spec.to_csv(os.path.join(
                 args.profiles, f"profile_{i + 1}_bp{spec.beta_p:g}_bq{spec.beta_q:g}.csv"
             ))
     return EXIT_OK
@@ -438,9 +437,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except fl.FlowError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

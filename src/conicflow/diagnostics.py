@@ -35,8 +35,9 @@ PROFILE_MARGIN = 0.15  # cumulative-area margin cut at both cone ends
 PROFILE_TOL = 0.2
 
 
-def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict:
-    """Curvature extremes over the sphere minus delta-balls at marked points.
+def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict | None:
+    """Curvature extremes over the sphere minus delta-balls at marked points,
+    or None when the balls cover every node.
 
     ``delta_exclusion`` must stay outside the smoothed cone cores
     (at least 2 eps).
@@ -56,7 +57,7 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict:
         m2[0, :] = m2[-1, :] = False
         mask = m2.ravel()
     if not mask.any():
-        raise ValueError("exclusion balls cover the whole sphere")
+        return None
     # statistics are taken on the smooth-part curvature: the full R keeps a
     # cone-bump tail ~ eps^2/dist^2 that is regularization, not geometry
     R = state.conical_curvature[mask]
@@ -137,8 +138,8 @@ def curvature_area_curve(state: geo.MetricState, dist: np.ndarray):
     """Mass-weighted mean smooth-part curvature in PROFILE_BINS uniform
     cumulative-area bins, measured outward from the node whose distance row
     is ``dist``; returns (bin centers, means).  Matches the convention of
-    :class:`conicflow.soliton.RadialProfile`, whose R is also the curvature
-    of the punctured surface."""
+    :meth:`conicflow.soliton.SolitonSpec.curvature_of_area`, whose R is also
+    the curvature of the punctured surface."""
     order = np.argsort(dist)
     mass = state.mass[order]
     R = state.conical_curvature[order]
@@ -153,9 +154,12 @@ def curvature_area_curve(state: geo.MetricState, dist: np.ndarray):
     return centers, means
 
 
-def compare_to_profile(state: geo.MetricState, profile: sol.RadialProfile, margin: float) -> float:
+def compare_to_profile(
+    state: geo.MetricState, profile: sol.SolitonSpec, margin: float
+) -> float | None:
     """RMS mismatch between the state's curvature-vs-area curve and the
-    profile's, measured from the deepest cone point.
+    profile's, measured from the deepest cone point; None when no bin of
+    the curve lies inside the margins.
 
     Parametrization-free (hence invariant under rotation about the cluster
     axis and under the soliton gauge drift); the cumulative-area margins at
@@ -168,6 +172,8 @@ def compare_to_profile(state: geo.MetricState, profile: sol.RadialProfile, margi
     # weights sorted: deepest cone last
     a, r_state = curvature_area_curve(state, state.distance_rows[nodes[-1]])
     keep = (a >= margin) & (a <= 2.0 - margin) & np.isfinite(r_state)
+    if not keep.any():
+        return None
     r_prof = profile.curvature_of_area(a[keep])
     diff = r_state[keep] - r_prof
     return math.sqrt(float(np.mean(diff * diff)))
@@ -178,7 +184,7 @@ _QUAD_BLOCK = 1 << 14
 
 
 def profile_state(
-    background: geo.BackgroundMetric, profile: sol.RadialProfile, axis=(0.0, 0.0, 1.0)
+    background: geo.BackgroundMetric, profile: sol.SolitonSpec, axis=(0.0, 0.0, 1.0)
 ) -> geo.MetricState:
     """Sample a closed-form rotationally symmetric profile as a state.
 
@@ -224,7 +230,7 @@ def profile_state(
 # ----------------------------------------------------------------------
 
 
-def _residual_floor(state, profile):
+def _residual_floor(state: geo.MetricState, profile: sol.SolitonSpec) -> float:
     """The honest residual floor for 'this state is that soliton'.
 
     For two-point axisymmetric states the floor is the residual of the
@@ -247,7 +253,7 @@ def _residual_floor(state, profile):
 @dataclass
 class ConvergenceReport:
     verdict: str
-    curvature: dict
+    curvature: dict | None  # None when the exclusion balls cover every node
     clusters: list
     cluster_distances: list
     residuals: dict
@@ -261,11 +267,14 @@ class ConvergenceReport:
 
     def summary(self) -> str:
         lines = [f"verdict: {self.verdict} (divisor {self.divisor_class})"]
-        lines.append(
-            f"curvature away from cones: [{self.curvature['r_min']:.4f}, "
-            f"{self.curvature['r_max']:.4f}], "
-            f"sup|R - chi/2| = {self.curvature['sup_dev_half_chi']:.4f}"
-        )
+        if self.curvature is None:
+            lines.append("curvature away from cones: no node outside the exclusion balls")
+        else:
+            lines.append(
+                f"curvature away from cones: [{self.curvature['r_min']:.4f}, "
+                f"{self.curvature['r_max']:.4f}], "
+                f"sup|R - chi/2| = {self.curvature['sup_dev_half_chi']:.4f}"
+            )
         lines.append(f"marked-point clusters: {self.clusters}")
         for k, v in self.residuals.items():
             lines.append(f"{k}: {v:.6g}")
@@ -285,8 +294,10 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
     clusters; otherwise a soliton verdict needs the residual at its control
     floor, a bipartition of the marks, the best-matching partition profile,
     and an entropy match against the partition table.  Anything else is
-    Undecided.  Everything is read from ``final_state``, its divisor from
-    its grid.
+    Undecided, with a caveat when a statistic has no node or bin to take
+    (the exclusion balls cover the sphere, or no curvature-area bin lies
+    inside the profile margins).  Everything is read from ``final_state``,
+    its divisor from its grid.
 
     The control floor runs no flow.  On 1-D two-point states it is the
     residual of the sampled closed-form profile; elsewhere its reference is
@@ -303,7 +314,7 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # k = 2 limit targets
         dclass = classify_stability(divisor) if divisor.k else StabilityClass.STABLE
-    residuals = {}
+    residuals = {} if stats is None else {"sup_dev_half_chi": stats["sup_dev_half_chi"]}
     caveats = {
         "eps": bg.eps,
         "resolution": f"{final_state.grid.n_lat}x{final_state.grid.n_lon}",
@@ -313,9 +324,12 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
 
     verdict = "Undecided"
     partition = None
-    residuals["sup_dev_half_chi"] = stats["sup_dev_half_chi"]
 
-    if stats["sup_dev_half_chi"] < CURVATURE_FLAT_TOL:
+    if stats is None:
+        caveats["no_curvature_statistics"] = (
+            "the exclusion balls about the marked points cover every node"
+        )
+    elif stats["sup_dev_half_chi"] < CURVATURE_FLAT_TOL:
         if dclass is StabilityClass.SEMI_STABLE and len(clusters) == 2:
             verdict = "Football"
             partition = clusters[-1]
@@ -335,19 +349,18 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
         resid = fn.soliton_residual(final_state, v)
         residuals["soliton_residual"] = resid
         if len(clusters) == 2:
-            best = None
-            for ld in enumerate_partitions(divisor):
-                if not ld.valid:
-                    continue
-                prof = sol.soliton_profile(ld.beta_p, ld.beta_q)
-                r = compare_to_profile(final_state, prof, PROFILE_MARGIN)
-                if best is None or r < best[0]:
-                    best = (r, ld, prof)
-            if best is not None:
-                r, ld, prof = best
+            fits = [(compare_to_profile(final_state, spec, PROFILE_MARGIN), spec)
+                    for spec in (sol.soliton_profile(ld.beta_p, ld.beta_q, ld.partition)
+                                 for ld in enumerate_partitions(divisor) if ld.valid)]
+            if fits and fits[0][0] is None:  # the state's curve: the same for every spec
+                caveats["no_profile_bins"] = (
+                    "no curvature-area bin lies inside the profile margins"
+                )
+            elif fits:
+                r, prof = min(fits, key=lambda fit: fit[0])
                 residuals["profile_residual"] = r
                 w_term = fn.normalized_w(final_state, -v)
-                residuals["w_gap"] = abs(w_term - sol.soliton_w(ld.beta_p, ld.beta_q))
+                residuals["w_gap"] = abs(w_term - prof.w)
                 floor = _residual_floor(final_state, prof)
                 residuals["soliton_residual_floor"] = floor
                 if (
@@ -356,7 +369,7 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
                     and residuals["w_gap"] < W_MATCH_TOL
                 ):
                     verdict = "Soliton"
-                    partition = sorted(ld.partition)
+                    partition = sorted(prof.partition)
 
     return ConvergenceReport(
         verdict=verdict,

@@ -153,38 +153,75 @@ def f_of_c(c: float) -> float:
     return 2.0 * (c / math.tanh(c) - 1.0) - 2.0 * math.log(math.sinh(c) / c)
 
 
-def soliton_w(beta_p: float, beta_q: float) -> float:
-    """Entropy value W(g_sol, -theta_sol) = 1 - F(c) of the two-point soliton.
-
-    Equals exactly 1 when beta_p == beta_q (the constant-curvature football,
-    c = 0 branch).  beta_q = 0 is the teardrop; the closed form extends to it
-    continuously.
-    """
-    return SolitonSpec.from_weights(beta_p, beta_q).w
-
-
 @dataclass(frozen=True)
 class SolitonSpec:
-    """Parameters of one two-point (or one-point) shrinking soliton.
+    """One two-point (or one-point) shrinking soliton, profile in closed form.
 
-    :meth:`from_weights` is the one step from cone weights to tau and c;
-    equal weights give c = 0, the constant-curvature football.
+    :func:`soliton_profile` is the one step from cone weights to tau, c and
+    the entropy w = W(g_sol, -theta_sol) = 1 - F(c); beta_p >= beta_q, so
+    c >= 0, and equal weights give c = 0, the constant-curvature football
+    with w exactly 1.  The profile is evaluated, never sampled: in moment
+    coordinates x runs over [-1, 1] with the uniform area measure, phi > 0
+    on the open interval with phi(+-1) = 0, R is the scalar curvature and
+    theta the soliton potential (identically 0 for the football).  The
+    endpoint cone weights are encoded in the boundary slopes:
+    beta(+1) = 1 + phi'(1)/2, beta(-1) = 1 - phi'(-1)/2.
     """
 
-    beta_p: float
-    beta_q: float
+    beta_p: float  # cone weight at x = +1
+    beta_q: float  # cone weight at x = -1
     tau: float
     c: float
     w: float
     partition: frozenset = frozenset()
 
-    @classmethod
-    def from_weights(cls, beta_p: float, beta_q: float, partition=frozenset()) -> "SolitonSpec":
-        if not (0.0 <= beta_q <= beta_p < 1.0):
-            raise ValueError(f"need 0 <= beta_q <= beta_p < 1, got ({beta_p}, {beta_q})")
-        tau = (beta_p - beta_q) / (2.0 - beta_p - beta_q)
-        c = solve_c(tau)
-        return cls(beta_p, beta_q, tau, c, 1.0 - f_of_c(c), frozenset(partition))
+    @property
+    def chi(self) -> float:
+        return 2.0 - self.beta_p - self.beta_q
+
+    def phi_of(self, x):
+        """Profile solving phi'' + c phi' + chi = 0, phi(+-1) = 0."""
+        x, c, chi = np.asarray(x, dtype=float), self.c, self.chi
+        if c < PROFILE_CUTOFF:
+            one = 1.0 - x * x
+            return 0.5 * chi * one * (1.0 - c * x / 3.0 - c * c * one / 12.0)
+        # exponents kept nonpositive so large c cannot overflow
+        num = np.exp(-c * (1.0 + x)) - math.exp(-2.0 * c)
+        den = -math.expm1(-2.0 * c)
+        return (chi / c) * ((1.0 - x) - 2.0 * num / den)
+
+    def curvature_of(self, x):
+        """R(x) = -phi''/2 = (chi c / (2 sinh c)) e^{-cx}; equals chi/2 at c = 0."""
+        x, c, chi = np.asarray(x, dtype=float), self.c, self.chi
+        if c < PROFILE_CUTOFF:
+            # c e^{-cx} / sinh c = e^{-cx} (1 - c^2/6 + ...)
+            return 0.5 * chi * np.exp(-c * x) * (1.0 - c * c / 6.0)
+        return chi * c * np.exp(-c * (x + 1.0)) / (-math.expm1(-2.0 * c))
+
+    def theta_of(self, x):
+        """theta(x) = c x - log(sinh c / c), so that int e^theta dg = 2."""
+        c = self.c
+        if c < SERIES_CUTOFF:
+            log_a = c * c / 6.0
+        else:
+            try:
+                log_a = math.log(math.sinh(c) / c)
+            except OverflowError:  # c > ~710: sinh c = e^c / 2 to double precision
+                log_a = c - math.log(2.0 * c)
+        return c * np.asarray(x, dtype=float) - log_a
+
+    def curvature_of_area(self, a):
+        """R as a function of cumulative area measured from the x=+1 end."""
+        return self.curvature_of(1.0 - np.asarray(a, dtype=float))
+
+    def to_csv(self, path: str) -> None:
+        """Write (x, phi, R, theta) rows at 256 evenly spaced x in [-1, 1]."""
+        x = np.linspace(-1.0, 1.0, 256)
+        phi, R, theta = self.phi_of(x), self.curvature_of(x), self.theta_of(x)
+        with open(path, "w") as fh:
+            fh.write("x,phi,R,theta\n")
+            for i in range(len(x)):
+                fh.write(f"{x[i]:.17g},{phi[i]:.17g},{R[i]:.17g},{theta[i]:.17g}\n")
 
 
 @dataclass
@@ -213,7 +250,7 @@ def mu_table(d: Divisor) -> MuTable:
     excluded = []
     for ld in enumerate_partitions(d):
         if ld.valid:
-            specs.append(SolitonSpec.from_weights(ld.beta_p, ld.beta_q, ld.partition))
+            specs.append(soliton_profile(ld.beta_p, ld.beta_q, ld.partition))
         else:
             excluded.append(ld)
     if not specs:
@@ -227,110 +264,18 @@ def mu_table(d: Divisor) -> MuTable:
     return MuTable(specs, threshold, excluded)
 
 
-# ----------------------------------------------------------------------
-# radial profiles
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class RadialProfile:
-    """Sampled rotationally symmetric metric in moment coordinates.
-
-    x runs over [-1, 1] with the uniform area measure; phi > 0 on the open
-    interval with phi(+-1) = 0; R is the scalar curvature and theta the
-    soliton potential (identically 0 for the football).  The endpoint cone
-    weights are encoded in the boundary slopes: beta(+1) = 1 + phi'(1)/2,
-    beta(-1) = 1 - phi'(-1)/2.
-    """
-
-    x: np.ndarray
-    phi: np.ndarray
-    R: np.ndarray
-    theta: np.ndarray
-    beta_p: float  # cone weight at x = +1
-    beta_q: float  # cone weight at x = -1
-    c: float
-    chi: float  # 2 - beta_p - beta_q
-
-    def phi_of(self, x):
-        return _phi_closed(np.asarray(x, dtype=float), self.c, self.chi)
-
-    def curvature_of(self, x):
-        return _curvature_closed(np.asarray(x, dtype=float), self.c, self.chi)
-
-    def curvature_of_area(self, a):
-        """R as a function of cumulative area measured from the x=+1 end."""
-        return self.curvature_of(1.0 - np.asarray(a, dtype=float))
-
-    def to_csv(self, path: str) -> None:
-        """Write the sampled profile as (x, phi, R, theta) rows."""
-        with open(path, "w") as fh:
-            fh.write("x,phi,R,theta\n")
-            for i in range(len(self.x)):
-                fh.write(
-                    f"{self.x[i]:.17g},{self.phi[i]:.17g},"
-                    f"{self.R[i]:.17g},{self.theta[i]:.17g}\n"
-                )
-
-
-def _phi_closed(x, c, chi):
-    """Profile solving phi'' + c phi' + chi = 0, phi(+-1) = 0."""
-    x = np.asarray(x, dtype=float)
-    if abs(c) < PROFILE_CUTOFF:
-        one = 1.0 - x * x
-        return 0.5 * chi * one * (1.0 - c * x / 3.0 - c * c * one / 12.0)
-    if c < 0:
-        return _phi_closed(-x, -c, chi)
-    # exponents kept nonpositive so large c cannot overflow
-    num = np.exp(-c * (1.0 + x)) - math.exp(-2.0 * c)
-    den = -math.expm1(-2.0 * c)
-    return (chi / c) * ((1.0 - x) - 2.0 * num / den)
-
-
-def _curvature_closed(x, c, chi):
-    """R(x) = -phi''/2 = (chi c / (2 sinh c)) e^{-cx}; equals chi/2 at c = 0."""
-    x = np.asarray(x, dtype=float)
-    if abs(c) < PROFILE_CUTOFF:
-        # c e^{-cx} / sinh c = e^{-cx} (1 - c^2/6 + ...)
-        return 0.5 * chi * np.exp(-c * x) * (1.0 - c * c / 6.0)
-    if c < 0:
-        return _curvature_closed(-x, -c, chi)
-    return chi * c * np.exp(-c * (x + 1.0)) / (-math.expm1(-2.0 * c))
-
-
-def _log_a(c: float) -> float:
-    """log(sinh c / c), the normalizer of theta."""
-    c = abs(c)
-    if c < SERIES_CUTOFF:
-        return c * c / 6.0
-    return math.log(math.sinh(c) / c)
-
-
-def _theta_closed(x, c):
-    return c * np.asarray(x, dtype=float) - _log_a(c)
-
-
-def soliton_profile(beta_p: float, beta_q: float, n: int = 256) -> RadialProfile:
-    """Reconstruct the rotationally symmetric soliton with the given weights.
+def soliton_profile(beta_p: float, beta_q: float, partition=frozenset()) -> SolitonSpec:
+    """The rotationally symmetric soliton with the given weights.
 
     The curvature equation R = chi/2 + Laplacian(theta) with theta = c*x
     reduces, in moment coordinates, to the linear boundary-value problem
-    phi'' + c phi' + chi = 0 with phi(+-1) = 0, solved here in closed form.
-    The Hessian identity grad^2 theta = (Laplacian theta) g / 2 holds
-    identically for potentials linear in x.
+    phi'' + c phi' + chi = 0 with phi(+-1) = 0, solved in closed form by
+    the returned spec.  The Hessian identity grad^2 theta = (Laplacian
+    theta) g / 2 holds identically for potentials linear in x.  beta_q = 0
+    is the teardrop; the closed forms extend to it continuously.
     """
-    c = SolitonSpec.from_weights(beta_p, beta_q).c
-    if n < 64:
-        raise ValueError("need at least 64 samples")
-    chi = 2.0 - beta_p - beta_q
-    x = np.linspace(-1.0, 1.0, n)
-    return RadialProfile(
-        x=x,
-        phi=_phi_closed(x, c, chi),
-        R=_curvature_closed(x, c, chi),
-        theta=_theta_closed(x, c),
-        beta_p=beta_p,
-        beta_q=beta_q,
-        c=c,
-        chi=chi,
-    )
+    if not (0.0 <= beta_q <= beta_p < 1.0):
+        raise ValueError(f"need 0 <= beta_q <= beta_p < 1, got ({beta_p}, {beta_q})")
+    tau = (beta_p - beta_q) / (2.0 - beta_p - beta_q)
+    c = solve_c(tau)
+    return SolitonSpec(beta_p, beta_q, tau, c, 1.0 - f_of_c(c), frozenset(partition))

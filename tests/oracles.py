@@ -37,7 +37,7 @@ from conicflow.geometry import (
     make_state,
 )
 from conicflow.marked_sphere import Divisor
-from conicflow.soliton import RadialProfile, _theta_closed
+from conicflow.soliton import SolitonSpec
 
 
 def read_trace(path: str) -> dict:
@@ -297,12 +297,7 @@ def football_control_state(
 # ----------------------------------------------------------------------
 
 
-def theta_of(prof: RadialProfile, x) -> np.ndarray:
-    """The profile's soliton potential theta at moment coordinates ``x``."""
-    return _theta_closed(np.asarray(x, dtype=float), prof.c)
-
-
-def endpoint_weights(prof: RadialProfile, h: float = 1e-5) -> tuple:
+def endpoint_weights(prof: SolitonSpec, h: float = 1e-5) -> tuple:
     """Cone weights read off second-order one-sided slope stencils of phi:
     beta(+1) = 1 + phi'(1)/2, beta(-1) = 1 - phi'(-1)/2."""
     phi = prof.phi_of
@@ -311,14 +306,14 @@ def endpoint_weights(prof: RadialProfile, h: float = 1e-5) -> tuple:
     return 1.0 + dp / 2.0, 1.0 - dq / 2.0
 
 
-def profile_quadrature_f(prof: RadialProfile, n: int = 200) -> float:
+def profile_quadrature_f(prof: SolitonSpec, n: int = 200) -> float:
     """int theta e^theta dg over the profile by Gauss-Legendre quadrature."""
     x, w = np.polynomial.legendre.leggauss(n)
-    th = theta_of(prof, x)
+    th = prof.theta_of(x)
     return float(np.sum(w * th * np.exp(th)))
 
 
-def profile_normalized_w(prof: RadialProfile, n: int = 200) -> float:
+def profile_normalized_w(prof: SolitonSpec, n: int = 200) -> float:
     """Normalized entropy of the profile at f = -theta by direct quadrature.
 
     Evaluates int [ (R + |grad f|^2) / chi + f ] e^{-f} dg with the
@@ -326,7 +321,7 @@ def profile_normalized_w(prof: RadialProfile, n: int = 200) -> float:
     reconstruction, the measure convention, and the closed form together.
     """
     x, w = np.polynomial.legendre.leggauss(n)
-    th = theta_of(prof, x)
+    th = prof.theta_of(x)
     R = prof.curvature_of(x)
     grad2 = 0.5 * prof.phi_of(x) * prof.c**2
     integrand = ((R + grad2) / prof.chi - th) * np.exp(th)
@@ -334,7 +329,7 @@ def profile_normalized_w(prof: RadialProfile, n: int = 200) -> float:
 
 
 def profile_state_whole(
-    background: BackgroundMetric, profile: RadialProfile, axis=(0.0, 0.0, 1.0)
+    background: BackgroundMetric, profile: SolitonSpec, axis=(0.0, 0.0, 1.0)
 ) -> MetricState:
     """``diagnostics.profile_state`` with its trapezoid table of
     m(x) = integral dx/phi built as whole arrays in one pass."""

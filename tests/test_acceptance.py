@@ -62,7 +62,7 @@ def test_criterion_1_closed_form_soliton_calculus():
     assert worst < 1e-12
 
     for beta in (0.05, 0.37, 0.62, 0.93):
-        assert sol.soliton_w(beta, beta) == 1.0  # exact c = 0 branch
+        assert sol.soliton_profile(beta, beta).w == 1.0  # exact c = 0 branch
     ok(1, f"tau(1) vs 1e6-point quadrature, round-trip {worst:.1e}, W(b,b) = 1 exactly")
 
 
@@ -80,8 +80,8 @@ def test_criterion_2_asymmetry_monotonicity():
         d1, d2 = np.sort(rng.uniform(0.0, dmax, 2))
         if d2 - d1 < 1e-10:
             continue
-        w_less = sol.soliton_w((s + d1) / 2, (s - d1) / 2)
-        w_more = sol.soliton_w((s + d2) / 2, (s - d2) / 2)
+        w_less = sol.soliton_profile((s + d1) / 2, (s - d1) / 2).w
+        w_more = sol.soliton_profile((s + d2) / 2, (s - d2) / 2).w
         assert w_less > w_more, (s, d1, d2)
         checked += 1
     ok(2, "500 equal-sum quadruples strictly ordered, zero violations")

@@ -314,6 +314,28 @@ class TestReport:
         assert (tmp_path / "r.json").read_text() == run_report
         assert out.startswith(run_out.split("\nstatus: ")[0] + "\n")
 
+    def test_run_whose_exclusion_balls_cover_the_sphere_is_kept(self, capsys, tmp_path):
+        # at eps 0.5 the exclusion radius 2 eps reaches every node: the
+        # verdict has no curvature statistics and is Undecided, and the run
+        # is still written
+        from conftest import shipped_config_path
+
+        out_dir = tmp_path / "out"
+        code, run_out, _ = run_cli(capsys, "run", "--config", shipped_config_path("stable"),
+                                   "--epsilon", "0.5", "--tmax", "0.02",
+                                   "--resolution", "32x64", "--out", str(out_dir))
+        assert code == 3
+        for name in ("trace.csv", "u_final.csv", "manifest.json", "report.json"):
+            assert (out_dir / name).is_file()
+        run_report = (out_dir / "report.json").read_text()
+        data = json.loads(run_report)
+        assert data["verdict"] == "Undecided" and data["curvature"] is None
+        assert "cover every node" in data["caveats"]["no_curvature_statistics"]
+        code, out, _ = run_cli(capsys, "report", str(out_dir), "--json", str(tmp_path / "r.json"))
+        assert code == 3
+        assert (tmp_path / "r.json").read_text() == run_report
+        assert out.startswith(run_out.split("\nstatus: ")[0] + "\n")
+
     def test_report_missing_dir(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", str(tmp_path / "nope"))
         assert code == 1
@@ -506,3 +528,42 @@ class TestProfilesExport:
         assert len(files) == 2
         header = (prof_dir / files[0]).read_text().splitlines()[0]
         assert header == "x,phi,R,theta"
+
+    def test_profile_rows_are_the_specs_closed_forms(self, capsys, divisor_file, tmp_path):
+        # each file samples its table entry at 256 evenly spaced x in [-1, 1]
+        import warnings
+
+        import numpy as np
+
+        from conicflow import soliton as sol
+
+        d = shipped_divisor("unstable")
+        prof_dir = tmp_path / "profiles"
+        code, _, _ = run_cli(capsys, "soliton-table", divisor_file("u", d),
+                             "--profiles", str(prof_dir))
+        assert code == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            entries = sol.mu_table(d).entries
+        x = np.linspace(-1.0, 1.0, 256)
+        for i, spec in enumerate(entries):
+            name = f"profile_{i + 1}_bp{spec.beta_p:g}_bq{spec.beta_q:g}.csv"
+            rows = (prof_dir / name).read_text().splitlines()[1:]
+            assert len(rows) == 256
+            columns = (x, spec.phi_of(x), spec.curvature_of(x), spec.theta_of(x))
+            assert rows == [",".join(f"{v:.17g}" for v in vals) for vals in zip(*columns)]
+
+    def test_weights_near_one_write_finite_profiles(self, capsys, divisor_file, tmp_path):
+        # c ~ 1000: sinh c overflows, so theta's normalizer takes its
+        # asymptote; (0.1, 0.2, 0.9995) has c ~ 700 and keeps the closed form
+        prof_dir = tmp_path / "profiles"
+        for weights in ([0.0005, 0.9995], [0.1, 0.2, 0.9995]):
+            code, _, _ = run_cli(capsys, "soliton-table", divisor_file("d", Divisor(weights)),
+                                 "--profiles", str(prof_dir))
+            assert code == 0
+        files = sorted(os.listdir(prof_dir))
+        assert len(files) == 2
+        for name in files:
+            rows = (prof_dir / name).read_text().splitlines()[1:]
+            assert len(rows) == 256
+            assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))

@@ -25,8 +25,7 @@ class TestCurvatureStats:
         d = Divisor([0.5], [[0.3, 0.4, 0.5]])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
-        with pytest.raises(ValueError, match="cover"):
-            diag.curvature_stats(st, 10.0)
+        assert diag.curvature_stats(st, 10.0) is None
 
     def test_football_state_near_target(self, football_control):
         stats = diag.curvature_stats(football_control, 0.25)
@@ -117,6 +116,17 @@ class TestCompareToProfile:
         res = diag.compare_to_profile(st, sol.soliton_profile(0.7, 0.4), margin=0.2)
         assert res > 0.1
 
+    def test_no_bin_inside_the_margins_gives_no_residual(self, monkeypatch):
+        # bin centers are odd multiples of 1/64: none lies in [1, 1]; the
+        # verdict then has no profile residual and says why
+        d = Divisor([0.4, 0.7], [[0, 0, -1.0], [0, 0, 1.0]])
+        st = geo.make_state(geo.background_metric(geo.build_axis_grid(256, d), d, 0.05))
+        assert diag.compare_to_profile(st, sol.soliton_profile(0.7, 0.4), margin=1.0) is None
+        monkeypatch.setattr(diag, "PROFILE_MARGIN", 1.0)
+        rep = diag.detect_convergence(st)
+        assert rep.verdict == "Undecided" and "profile_residual" not in rep.residuals
+        assert "no_profile_bins" in rep.caveats
+
     def test_rotation_about_axis_invariance(self):
         # rotating the whole configuration about the polar axis is a grid
         # symmetry: the residual must be bit-for-bit comparable
@@ -197,7 +207,17 @@ class TestDetectConvergence:
         [ld] = [ld for ld in enumerate_partitions(cfg.divisor) if ld.valid]
         w = fn.normalized_w(state, -fn.ricci_potential(state))
         assert w != trace["w_normalized"][-1]
-        assert rep.residuals["w_gap"] == abs(w - sol.soliton_w(ld.beta_p, ld.beta_q))
+        assert rep.residuals["w_gap"] == abs(w - sol.soliton_profile(ld.beta_p, ld.beta_q).w)
+
+    def test_weights_near_one_give_a_report(self):
+        # c ~ 1000 for the (0.9995, 0.0005) soliton; theta is never sampled,
+        # so nothing overflows
+        d = Divisor([0.0005, 0.9995], [[0, 0, -1.0], [0, 0, 1.0]])
+        bg = geo.background_metric(geo.build_axis_grid(256, d), d, 0.05)
+        rep = diag.detect_convergence(geo.make_state(bg))
+        assert rep.verdict == "Undecided"
+        assert all(math.isfinite(v) for v in rep.residuals.values())
+        assert "w_gap" in rep.residuals
 
     def test_report_serializes(self, shipped_runs):
         import json

@@ -677,7 +677,7 @@ class TestAxisymmetric:
         from conicflow import soliton as sol
 
         tr = soliton_axis_result["trace"]
-        assert abs(tr["w_normalized"][-1] - sol.soliton_w(0.8, 0.3)) < 0.2
+        assert abs(tr["w_normalized"][-1] - sol.soliton_profile(0.8, 0.3).w) < 0.2
 
     def test_soliton_initialization_runs(self):
         d = Divisor([0.3, 0.8], [[0, 0, -1.0], [0, 0, 1.0]])

@@ -13,6 +13,9 @@ Only ``geometry.py`` names the Dijkstra solver and the edge-graph builder,
 and it calls each once, so a state's ``distance_rows`` stay its only
 distance pass.
 
+Only ``soliton.soliton_profile`` calls ``solve_c``, so cone weights reach
+c by one route, and every soliton is the ``SolitonSpec`` it returns.
+
 Every SuperLU factor takes the grid's ordering and panel by keyword, so a
 new factor site cannot fall back to SuperLU's own choices.
 
@@ -108,15 +111,20 @@ def test_only_geometry_makes_a_distance_pass():
 FACTOR_KEYWORDS = {"permc_spec", "panel_size"}
 
 
+def _calls(tree, name):
+    """Each call of ``name``, as a bare name or as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                yield node
+
+
 def test_every_factor_names_its_ordering_and_panel():
     calls = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(
-                    node.func, "id", None)
-                if name == "splu":
-                    calls.append((path.stem, {kw.arg for kw in node.keywords}))
+        for node in _calls(ast.parse(path.read_text()), "splu"):
+            calls.append((path.stem, {kw.arg for kw in node.keywords}))
     assert {mod for mod, _ in calls} == {"flow", "geometry"}
     assert [mod for mod, kws in calls if not FACTOR_KEYWORDS <= kws] == []
 
@@ -157,6 +165,16 @@ def test_imports_form_the_layer_order():
             if module != "__init__" and LAYERS.index(module) >= rank:
                 upward.append(f"{path.stem}:{line} imports {module}")
     assert upward == []
+
+
+def test_only_soliton_profile_solves_for_c():
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for call in _calls(tree, "solve_c"):
+            sites += [f"{path.stem}:{name}" for name, first, last in _definitions(tree)
+                      if first <= call.lineno <= last]
+    assert sites == ["soliton:soliton_profile"]
 
 
 def _imported_modules(tree):

@@ -187,18 +187,18 @@ class TestFOfC:
 class TestSolitonW:
     def test_football_is_exactly_one(self):
         for b in (0.1, 0.37, 0.8):
-            assert sol.soliton_w(b, b) == 1.0
+            assert sol.soliton_profile(b, b).w == 1.0
 
     def test_teardrop_extends_continuously(self):
-        assert sol.soliton_w(0.4, 0.0) == pytest.approx(
-            sol.soliton_w(0.4, 1e-12), abs=1e-9
+        assert sol.soliton_profile(0.4, 0.0).w == pytest.approx(
+            sol.soliton_profile(0.4, 1e-12).w, abs=1e-9
         )
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            sol.soliton_w(0.3, 0.8)
+            sol.soliton_profile(0.3, 0.8)
         with pytest.raises(ValueError):
-            sol.soliton_w(1.0, 0.3)
+            sol.soliton_profile(1.0, 0.3)
 
     @given(
         st.floats(0.2, 1.8),
@@ -215,8 +215,8 @@ class TestSolitonW:
         a1, a2 = d1 * dmax, d2 * dmax
         if a2 - a1 < 1e-12:
             return
-        w_less = sol.soliton_w((s + a1) / 2, (s - a1) / 2)
-        w_more = sol.soliton_w((s + a2) / 2, (s - a2) / 2)
+        w_less = sol.soliton_profile((s + a1) / 2, (s - a1) / 2).w
+        w_more = sol.soliton_profile((s + a2) / 2, (s - a2) / 2).w
         assert w_less > w_more
 
 
@@ -284,12 +284,13 @@ def _shipped_partition_weights():
 class TestProfiles:
     def test_football_round_sphere(self):
         p = sol.soliton_profile(0.0, 0.0)
-        assert np.allclose(p.R, 1.0)
-        assert np.allclose(p.phi, 0.5 * 2.0 * (1 - p.x**2))
+        x = np.linspace(-1.0, 1.0, 256)
+        assert np.allclose(p.curvature_of(x), 1.0)
+        assert np.allclose(p.phi_of(x), 0.5 * 2.0 * (1 - x**2))
 
     def test_football_constant_curvature(self):
         p = sol.soliton_profile(0.6, 0.6)
-        assert np.allclose(p.R, 0.4)
+        assert np.allclose(p.curvature_of(np.linspace(-1.0, 1.0, 256)), 0.4)
         bp, bq = endpoint_weights(p)
         assert bp == pytest.approx(0.6, abs=1e-6)
         assert bq == pytest.approx(0.6, abs=1e-6)
@@ -302,12 +303,13 @@ class TestProfiles:
     def test_soliton_profile_degenerates_to_football(self):
         # the c = 0 member is the explicit football:
         # phi = (1 - beta)(1 - x^2), R = 1 - beta, theta = 0
+        x = np.linspace(-1.0, 1.0, 256)
         for beta in (0.0, 0.3, 0.6, 0.9):
             p = sol.soliton_profile(beta, beta)
             assert p.c == 0.0
-            assert np.max(np.abs(p.phi - (1 - beta) * (1 - p.x**2))) < 1e-15
-            assert np.max(np.abs(p.R - (1 - beta))) < 1e-15
-            assert not np.any(p.theta)
+            assert np.max(np.abs(p.phi_of(x) - (1 - beta) * (1 - x**2))) < 1e-15
+            assert np.max(np.abs(p.curvature_of(x) - (1 - beta))) < 1e-15
+            assert not np.any(p.theta_of(x))
 
     @pytest.mark.parametrize(
         "beta_p, beta_q",
@@ -333,10 +335,6 @@ class TestProfiles:
         assert bq == pytest.approx(beta_q, abs=1e-6)
         assert abs(profile_quadrature_f(p) - sol.f_of_c(p.c)) < 1e-8
 
-    def test_minimum_samples_enforced(self):
-        with pytest.raises(ValueError):
-            sol.soliton_profile(0.5, 0.2, n=32)
-
     def test_open_part_total_curvature(self):
         # moment measure is uniform: int R dx = chi of the limit pair
         x, w = np.polynomial.legendre.leggauss(96)
@@ -351,8 +349,8 @@ class TestProfiles:
             bq = rng.uniform(0.0, bp)
             p = sol.soliton_profile(bp, bq)
             w_quad = profile_normalized_w(p)
-            assert abs(w_quad - sol.soliton_w(bp, bq)) < 1e-8
+            assert abs(w_quad - sol.soliton_profile(bp, bq).w) < 1e-8
 
     def test_profile_positive_inside(self):
-        p = sol.soliton_profile(0.9, 0.1, n=512)
-        assert np.all(p.phi[1:-1] > 0)
+        p = sol.soliton_profile(0.9, 0.1)
+        assert np.all(p.phi_of(np.linspace(-1.0, 1.0, 512))[1:-1] > 0)
