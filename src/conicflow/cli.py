@@ -60,25 +60,21 @@ def _load_divisor(path: str) -> Divisor:
 
 def cmd_classify(args) -> int:
     d = _load_divisor(args.divisor)
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        try:
-            cls = classify_stability(d)
-        except ValueError as exc:
-            raise UsageError(f"cannot classify {args.divisor!r}: {exc}") from exc
-        chi = float(euler_characteristic(d))
-        out = {"class": str(cls), "chi": chi, "k": d.k,
-               "weights": [float(w) for w in d.weights]}
-        if float(d.total()) < 2.0:
-            out["alpha"] = float(alpha_invariant(d))
-        if cls is not StabilityClass.STABLE:
-            ld = predict_limit_divisor(d)
-            out["predicted_limit"] = {
-                "beta_p": ld.beta_p, "beta_q": ld.beta_q,
-                "partition": sorted(ld.partition), "conditional": ld.conditional,
-            }
+    try:
+        cls = classify_stability(d)
+    except ValueError as exc:
+        raise UsageError(f"cannot classify {args.divisor!r}: {exc}") from exc
+    chi = float(euler_characteristic(d))
+    out = {"class": str(cls), "chi": chi, "k": d.k,
+           "weights": [float(w) for w in d.weights]}
+    if float(d.total()) < 2.0:
+        out["alpha"] = float(alpha_invariant(d))
+    if cls is not StabilityClass.STABLE:
+        ld = predict_limit_divisor(d)
+        out["predicted_limit"] = {
+            "beta_p": ld.beta_p, "beta_q": ld.beta_q,
+            "partition": sorted(ld.partition), "conditional": ld.conditional,
+        }
     if args.json:
         print(json.dumps(out, indent=2))
     else:
@@ -101,16 +97,16 @@ def cmd_classify(args) -> int:
 
 def cmd_soliton_table(args) -> int:
     d = _load_divisor(args.divisor)
-    import warnings
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            table = sol.mu_table(d)
-        except ValueError as exc:
-            raise UsageError(f"no soliton table for {args.divisor!r}: {exc}") from exc
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
+    try:
+        table = sol.mu_table(d)
+    except ValueError as exc:
+        raise UsageError(f"no soliton table for {args.divisor!r}: {exc}") from exc
+    if d.k < 3:
+        print(f"warning: divisor has k={d.k} < 3 marked points; the convergence "
+              "theorems assume k >= 3", file=sys.stderr)
+    cls = classify_stability(d)
+    if cls is not StabilityClass.UNSTABLE:
+        print(f"warning: divisor is {cls}, not unstable", file=sys.stderr)
     rows = []
     for i, spec in enumerate(table.entries):
         rows.append({
@@ -291,7 +287,7 @@ def _sweep_one(payload):
             "run": tag, "status": trace.status, "verdict": report.verdict,
             **overrides,
             "t_end": float(trace.times[-1]),
-            "sup_dev_half_chi": report.curvature["sup_dev_half_chi"],
+            "sup_dev_half_chi": report.residuals.get("sup_dev_half_chi", ""),
             "w_normalized": float(trace["w_normalized"][-1]),
             "soliton_residual": float(trace["soliton_residual"][-1]),
             "f_beta": float(trace["f_beta"][-1]),

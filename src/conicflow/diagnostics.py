@@ -30,7 +30,7 @@ CURVATURE_FLAT_TOL = 5e-2
 CLUSTER_TOL = 0.1
 DELTA_EXCLUSION = 0.25  # raised to 2*eps when eps is larger
 W_MATCH_TOL = 5e-2
-RESIDUAL_FACTOR = 3.0  # vs the exact football control floor
+RESIDUAL_FACTOR = 3.0  # vs _residual_floor, clamped to 1e-12
 PROFILE_MARGIN = 0.15  # cumulative-area margin cut at both cone ends
 PROFILE_TOL = 0.2
 
@@ -305,15 +305,11 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
     Ricci potential and a residual of exactly 0, so the floor is the
     1e-12 clamp.
     """
-    import warnings
-
     bg, divisor = final_state.background, final_state.grid.divisor
     delta = max(DELTA_EXCLUSION, 2.0 * bg.eps)
     stats = curvature_stats(final_state, delta)
     clusters, dmat = marked_point_clusters(final_state, CLUSTER_TOL)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # k = 2 limit targets
-        dclass = classify_stability(divisor) if divisor.k else StabilityClass.STABLE
+    dclass = classify_stability(divisor) if divisor.k else StabilityClass.STABLE
     residuals = {} if stats is None else {"sup_dev_half_chi": stats["sup_dev_half_chi"]}
     caveats = {
         "eps": bg.eps,

@@ -8,7 +8,6 @@ tolerance is used for the semi-stable equality.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -168,33 +167,22 @@ class LimitDivisor:
     conditional: bool = False
 
 
-def _warn_small_k(d: Divisor, name: str) -> None:
-    if d.k < 3:
-        warnings.warn(
-            f"{name}: divisor has k={d.k} < 3 marked points; the convergence "
-            "theorems assume k >= 3",
-            UserWarning,
-            stacklevel=3,
-        )
-
-
 def euler_characteristic(d: Divisor) -> Weight:
     """chi(S^2, beta) = 2 - sum(beta_j)."""
     return (Fraction(2) if d.exact else 2.0) - d.total()
 
 
-def classify_stability(d: Divisor, tol: float = SEMISTABLE_TOL) -> StabilityClass:
+def classify_stability(d: Divisor) -> StabilityClass:
     """Troyanov trichotomy comparing 2*beta_max with sum(beta).
 
     Stable iff sum >= 2 or 2*beta_max < sum; semi-stable iff sum < 2 and
-    2*beta_max == sum (exact for Fraction weights, within ``tol`` for
-    floats); unstable otherwise.
+    2*beta_max == sum (exact for Fraction weights, within SEMISTABLE_TOL
+    for floats); unstable otherwise.  Any k >= 1 is classified, though the
+    convergence theorems assume k >= 3 marked points.
     """
     if d.k < 1:
         raise ValueError("classification needs at least one marked point")
-    _warn_small_k(d, "classify_stability")
-    if d.exact:
-        tol = 0
+    tol = 0 if d.exact else SEMISTABLE_TOL
     total = d.total()
     gap = 2 * d.beta_max - total
     if total >= 2 or gap < -tol:
@@ -250,12 +238,13 @@ def predict_limit_divisor(d: Divisor) -> LimitDivisor:
     Semi-stable pairs limit to (beta_max, beta_max).  For unstable pairs the
     reported split puts the largest weight alone (beta_k, sum of the rest);
     this is proved only under the entropy threshold hypothesis, so the
-    result carries ``conditional=True``.
+    result carries ``conditional=True``.  Like the convergence theorems,
+    the prediction assumes k >= 3 marked points; smaller k is answered the
+    same way.
     """
     cls = classify_stability(d)
     if cls is StabilityClass.STABLE:
         raise ValueError("stable divisor: the flow limit keeps all marked points")
-    _warn_small_k(d, "predict_limit_divisor")
     w = d.weights_float()
     part = frozenset({d.k - 1})
     if cls is StabilityClass.SEMI_STABLE:

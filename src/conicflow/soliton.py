@@ -239,13 +239,10 @@ def mu_table(d: Divisor) -> MuTable:
     Returns the entries sorted descending, the Theorem-1.4 threshold
     (the second entry, or None when fewer than two partitions are valid)
     and the excluded splits.  For an unstable divisor the top entry is
-    always the split isolating the largest weight.
+    always the split isolating the largest weight.  A stable or
+    semi-stable divisor gets its table too.
     """
-    import warnings
-
     cls = classify_stability(d)
-    if cls is not StabilityClass.UNSTABLE:
-        warnings.warn(f"mu_table: divisor is {cls}, not unstable", UserWarning, stacklevel=2)
     specs = []
     excluded = []
     for ld in enumerate_partitions(d):

@@ -94,7 +94,24 @@ class TestSolitonTable:
         path = divisor_file("s4", Divisor([0.4, 0.4, 0.4, 0.4]))
         code, out, err = run_cli(capsys, "soliton-table", path)
         assert code == 0
-        assert "not unstable" in err
+        assert err == "warning: divisor is Stable, not unstable\n"
+
+    def test_caveats_on_stderr(self, capsys, divisor_file):
+        # the k < 3 caveat comes first, then the class; a divisor with no
+        # table prints only its error
+        code, _, err = run_cli(capsys, "soliton-table", divisor_file("k2", Divisor([0.4, 0.4])))
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: divisor has k=2 < 3 marked points; the convergence theorems assume k >= 3",
+            "warning: divisor is SemiStable, not unstable",
+        ]
+        code, _, err = run_cli(capsys, "soliton-table",
+                               divisor_file("u", shipped_divisor("unstable")))
+        assert (code, err) == (0, "")
+        code, _, err = run_cli(capsys, "soliton-table",
+                               divisor_file("s", shipped_divisor("stable")))
+        assert code == 1
+        assert err.startswith("error: no soliton table") and "warning" not in err
 
     def test_threshold_undefined(self, capsys, divisor_file):
         path = divisor_file("one", Divisor([0.1, 0.1, 0.9]))
@@ -425,6 +442,23 @@ class TestSweep:
             assert int(row["backsolves"]) == solver["backsolves"]
             assert int(row["stall_refactorizations"]) == solver["stall_refactorizations"]
 
+    def test_row_of_a_run_without_curvature_statistics(self, capsys, tmp_path):
+        # at eps 0.5 the exclusion balls cover every node: the run completes
+        # Undecided and its row leaves the statistic's cell empty
+        tiny_config(tmp_path, shipped_divisor("stable"), t_max=0.02)
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text("config = run.cfg\nsweep_epsilon = 0.5, 0.3\n")
+        out = tmp_path / "sw"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(sweep), "--out", str(out))
+        assert code == 0
+        with open(out / "aggregate.csv") as fh:
+            rows = {row["run"]: row for row in csv.DictReader(fh)}
+        assert sorted(rows) == ["run_epsilon0.3", "run_epsilon0.5"]
+        for row in rows.values():
+            assert (row["status"], row["verdict"]) == ("completed", "Undecided")
+        assert rows["run_epsilon0.5"]["sup_dev_half_chi"] == ""
+        assert float(rows["run_epsilon0.3"]["sup_dev_half_chi"]) > 0
+
     def test_empty_sweep_rejected(self, capsys, tmp_path):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"))
         sweep = tmp_path / "sweep.cfg"
@@ -531,8 +565,6 @@ class TestProfilesExport:
 
     def test_profile_rows_are_the_specs_closed_forms(self, capsys, divisor_file, tmp_path):
         # each file samples its table entry at 256 evenly spaced x in [-1, 1]
-        import warnings
-
         import numpy as np
 
         from conicflow import soliton as sol
@@ -542,9 +574,7 @@ class TestProfilesExport:
         code, _, _ = run_cli(capsys, "soliton-table", divisor_file("u", d),
                              "--profiles", str(prof_dir))
         assert code == 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)
-            entries = sol.mu_table(d).entries
+        entries = sol.mu_table(d).entries
         x = np.linspace(-1.0, 1.0, 256)
         for i, spec in enumerate(entries):
             name = f"profile_{i + 1}_bp{spec.beta_p:g}_bq{spec.beta_q:g}.csv"

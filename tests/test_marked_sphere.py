@@ -98,10 +98,6 @@ class TestClassification:
         # 0.3 + 0.3 == 0.6 only up to float round-off
         assert classify_stability(D(0.3, 0.3, 0.6)) is StabilityClass.SEMI_STABLE
 
-    def test_small_k_warns(self):
-        with pytest.warns(UserWarning, match="k="):
-            classify_stability(D(0.4, 0.4))
-
     def test_empty_divisor_rejected(self):
         with pytest.raises(ValueError):
             classify_stability(Divisor([]))

@@ -25,6 +25,9 @@ import to break a cycle; only ``__init__.py`` stands outside it.
 
 No module imports ``scipy.optimize``: the soliton's root-finder is the
 package's own, and the import alone costs ~15 MB of resident memory.
+
+No module imports ``warnings``: the package raises no warning for a caller
+to silence, and ``soliton-table`` prints its caveats itself.
 """
 
 import ast
@@ -194,5 +197,14 @@ def test_no_module_imports_scipy_optimize():
         for path in sorted(PACKAGE.glob("*.py"))
         if any(name == "scipy.optimize" or name.startswith("scipy.optimize.")
                for name in _imported_modules(ast.parse(path.read_text())))
+    ]
+    assert importing == []
+
+
+def test_no_module_imports_warnings():
+    importing = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "warnings" in _imported_modules(ast.parse(path.read_text()))
     ]
     assert importing == []

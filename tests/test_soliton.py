@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conicflow import soliton as sol
-from conicflow.marked_sphere import Divisor, enumerate_partitions
+from conicflow.marked_sphere import (
+    Divisor,
+    classify_stability,
+    enumerate_partitions,
+    predict_limit_divisor,
+)
 from conftest import CONFIG_DIR
 from oracles import endpoint_weights, profile_normalized_w, profile_quadrature_f
 
@@ -222,11 +228,7 @@ class TestSolitonW:
 
 class TestMuTable:
     def test_example_table(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            table = sol.mu_table(Divisor([0.1, 0.2, 0.8]))
+        table = sol.mu_table(Divisor([0.1, 0.2, 0.8]))
         assert len(table.entries) == 2
         assert table.entries[0].partition == frozenset({2})
         assert (table.entries[0].beta_p, table.entries[0].beta_q) == pytest.approx((0.8, 0.3))
@@ -239,17 +241,20 @@ class TestMuTable:
         assert table.threshold is None
         assert len(table.excluded) == 3
 
-    def test_warns_when_not_unstable(self):
-        with pytest.warns(UserWarning, match="not unstable"):
-            sol.mu_table(Divisor([0.4, 0.4, 0.4, 0.4]))
+    @pytest.mark.parametrize("weights", [[0.3, 0.8], [0.4, 0.4], [0.3, 0.3, 0.6]],
+                             ids=["k2_unstable", "k2_semistable", "k3_semistable"])
+    def test_divisor_layers_raise_no_warnings(self, weights):
+        # soliton-table prints the k < 3 and not-unstable caveats itself
+        d = Divisor(weights)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            classify_stability(d)
+            predict_limit_divisor(d)
+            sol.mu_table(d)
 
     def test_raises_when_no_valid_partition(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(ValueError, match="no valid partitions"):
-                sol.mu_table(Divisor([0.5, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="no valid partitions"):
+            sol.mu_table(Divisor([0.5, 0.5, 0.5]))
 
     def test_argmax_partition_random_sweep(self):
         rng = np.random.default_rng(11)
