@@ -21,7 +21,8 @@ Every factor also takes the grid's SuperLU panel (``SphereGrid.panel_size``):
 panels and come out bit for bit the same, and scipy's default in 2-D.
 Where refinement stalls even against a fresh factor (the residual floor
 cond(A) u lies above the target, as on the 32768-row axis grid), each later
-step refactors and refines once instead.
+step refactors and refines once instead, and the stepper stops trimming the
+C heap before each factorization.
 
 After every step the area is restored to 2 by an additive constant and the
 constant is recorded in the trace: at eps > 0 the smoothed cone mass makes
@@ -240,7 +241,9 @@ class _ImplicitStepper:
     stalls against a factor built in the same call, that floor lies above
     the 1e-12 target, and the stepper keeps that knowledge for the rest of
     the run: every later solve refactors at once and refines once, which
-    is what the stall fallback would do after wasting its sweeps.
+    is what the stall fallback would do after wasting its sweeps.  From
+    then on it no longer trims the C heap before a factorization: each new
+    factor reuses the pages of the one just dropped.
 
     The stepper counts its factorizations, those made after refinement
     stalled, and its back-solves, and keeps the worst relative residual of
@@ -283,14 +286,15 @@ class _ImplicitStepper:
 
     def _factor(self, d):
         self.A.data[self._diag] = self._L_diag + (d if self.perm is None else d[self.perm])
-        # a SuperLU factor of the 32768-row grid at panel 5 reserves ~70 MB
-        # of C heap and touches ~7 MB of it (~15 MB at the default panel);
-        # dropping the old factor and trimming the heap before the next one
-        # makes that cost the same on every step, where otherwise the peak
-        # RSS and the page faults depend on where earlier blocks happened to
-        # land (a 150-270 MB peak from run to run)
+        # the old factor goes before the next is built, so two never coexist.
+        # While factorizations are rare (every 2-D run, and 1-D runs whose
+        # refinement converges) the heap is trimmed too, which holds the 2-D
+        # peak RSS ~2.3 MB lower.  Once every step refactors, a trim only
+        # hands back the dropped factor's pages for the next factor to fault
+        # in again: on the 32768-row axis grid that cost ~4 of the ~12 ms a
+        # factorization took, and the peak RSS holds at ~87 MB without it.
         self.lu = None
-        if _malloc_trim is not None:
+        if _malloc_trim is not None and not self.floor_above_target:
             _malloc_trim(0)
         self.lu = spla.splu(self.A, permc_spec=self._permc_spec,
                             panel_size=self.bg.grid.panel_size)

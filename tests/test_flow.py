@@ -408,8 +408,8 @@ class TestImplicitStepper:
             assert np.array_equal(stepper._backsolve(b), lu.solve(b))
 
     def test_old_factor_released_and_heap_trimmed_before_refactoring(self, monkeypatch):
-        # building a factor while the old one is alive, or on an untrimmed
-        # heap, lets the peak RSS of a refactor-every-step run wander
+        # before the floor rule fires, each factorization first drops the old
+        # factor and then trims the heap, so two factors never coexist
         cfg = axis_config(4096, 6e-4)
         grid = geo.build_axis_grid(cfg.n_lat, cfg.divisor)
         stepper = fl._ImplicitStepper(geo.background_metric(grid, cfg.divisor, cfg.eps))
@@ -442,6 +442,37 @@ class TestImplicitStepper:
         grid = geo.build_axis_grid(4096)
         fl._ImplicitStepper(geo.background_metric(grid, grid.divisor, 0.01))
         assert events == ["COLAMD", "trim"]
+
+    @pytest.mark.parametrize("cfg, n_steps, expected", [
+        (axis_config(8192, 3e-4), 10, ["splu", "trim"] + ["trim", "splu"] + ["splu"] * 10),
+        (small_config(initial="bump", seed=2), 20, ["trim", "splu"] * 2),
+    ], ids=["axis_8192", "bump_32x64"])
+    def test_heap_left_untrimmed_once_every_step_refactors(self, monkeypatch, cfg, n_steps,
+                                                            expected):
+        # once the floor rule fires, every step refactors, and a trim would
+        # only hand back the dropped factor's pages for the next one to fault
+        # in again: the 1-D run trims after its order probe and before its
+        # fresh factor, and never after; a 2-D run, whose floor stays below
+        # the target, trims before each of its factorizations, its stall
+        # refactorization included
+        events = []
+        stepper = None  # the order probe factors before the stepper exists
+
+        def splu(A, **kw):
+            assert getattr(stepper, "lu", None) is None
+            events.append("splu")
+            return spla.splu(A, **kw)
+
+        monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=splu))
+        monkeypatch.setattr(fl, "_malloc_trim", lambda pad: events.append("trim"))
+        grid = fl.build_run_grid(cfg)
+        bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
+        state, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, bg)))
+        stepper = fl._ImplicitStepper(bg)
+        for _ in range(n_steps):
+            state, _ = fl.renormalize(fl._semi_implicit_step(state, cfg.dt, stepper))
+        assert stepper.floor_above_target is (grid.n_lon == 1)
+        assert events == expected
 
     def test_skewed_factor_fails_after_rule_fired(self, capsys, tmp_path, monkeypatch):
         # the rule fired on the first solve, so the third, the first with a

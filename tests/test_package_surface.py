@@ -28,6 +28,10 @@ package's own, and the import alone costs ~15 MB of resident memory.
 
 No module imports ``warnings``: the package raises no warning for a caller
 to silence, and ``soliton-table`` prints its caveats itself.
+
+Only ``flow._ImplicitStepper`` trims the C heap: once in ``__init__``, after
+the 1-D order probe, and once in ``_factor``, under a guard on
+``floor_above_target``, so a trim on every step cannot come back unnoticed.
 """
 
 import ast
@@ -208,3 +212,28 @@ def test_no_module_imports_warnings():
         if "warnings" in _imported_modules(ast.parse(path.read_text()))
     ]
     assert importing == []
+
+
+def _guards(scope, node):
+    """Each name read by the test of an ``if`` in ``scope`` around ``node``."""
+    for branch in ast.walk(scope):
+        if isinstance(branch, ast.If) and any(n is node for b in branch.body for n in ast.walk(b)):
+            yield from (name for name, _ in _references(branch.test))
+
+
+def test_only_the_stepper_trims_the_heap():
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = [(f"{cls.name}.{fn.name}", fn) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) for fn in cls.body
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for name in ("malloc_trim", "_malloc_trim"):
+            for call in _calls(tree, name):
+                scope = [(method, fn) for method, fn in methods
+                         if fn.lineno <= call.lineno <= fn.end_lineno]
+                method, fn = scope[0] if scope else (call.lineno, tree)
+                sites.append((f"{path.stem}:{method}", "floor_above_target" in _guards(fn, call)))
+    # the trim before a factorization stops once the floor rule has fired
+    assert sorted(sites) == [("flow:_ImplicitStepper.__init__", False),
+                             ("flow:_ImplicitStepper._factor", True)]
