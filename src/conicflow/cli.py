@@ -351,10 +351,9 @@ def _read_run(run_dir: str):
     with open(os.path.join(run_dir, "manifest.json")) as fh:
         manifest = json.load(fh)
     config, outputs = fl.FlowConfig.from_dict(manifest["config"]), manifest["outputs"]
-    grid = fl.build_run_grid(config)
-    bg = geo.background_metric(grid, config.divisor, config.eps)
+    bg = fl.run_background(config)
     u_name = outputs["final_snapshot"]
-    u = geo.load_field(os.path.join(run_dir, u_name), grid.n)
+    u = geo.load_field(os.path.join(run_dir, u_name), bg.grid.n)
     for path, digest in ((os.path.join(run_dir, outputs["trace"]), manifest["trace_sha256"]),
                          (os.path.join(run_dir, u_name), manifest["field_sha256"][u_name])):
         if _sha256(path) != digest:

@@ -45,9 +45,7 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict | No
     eps = state.background.eps
     if delta_exclusion < 2.0 * eps:
         raise ValueError(f"delta_exclusion must be >= 2 eps = {2 * eps}")
-    mask = np.ones(state.grid.n, dtype=bool)
-    for node in state.grid.marked_nodes:
-        mask &= state.distance_rows[node] > delta_exclusion
+    mask = state.far_from_marks(delta_exclusion)
     if state.grid.n_lon > 1:
         # the pole closure is not consistent: on the pole rows the error of
         # Lap Y = -Y stays ~0.09 for cos(theta) and grows like 1/h for
@@ -183,12 +181,12 @@ def compare_to_profile(
 _QUAD_BLOCK = 1 << 14
 
 
-def profile_state(
-    background: geo.BackgroundMetric, profile: sol.SolitonSpec, axis=(0.0, 0.0, 1.0)
-) -> geo.MetricState:
+def profile_state(background: geo.BackgroundMetric, profile: sol.SolitonSpec) -> geo.MetricState:
     """Sample a closed-form rotationally symmetric profile as a state.
 
-    The profile's beta_p cone lands at +axis, beta_q at -axis; the moment
+    The profile's beta_p cone lands at the last (heaviest) point of the
+    grid's divisor, the point :func:`compare_to_profile` measures from, and
+    beta_q at its antipode; the moment
     coordinate is mapped to the grid through its conformal coordinate
     m(x) = integral dx/phi, and the exact cone factors are eps-smoothed the
     same way as the background so the conformal factor stays bounded.
@@ -198,10 +196,9 @@ def profile_state(
     held ~5 arrays of 400,001 floats at once, and set the axis run's peak
     memory inside the verdict.
     """
-    grid = background.grid
-    axis = np.asarray(axis, dtype=float)
+    axis = background.grid.divisor.positions[-1]
     axis = axis / np.linalg.norm(axis)
-    pos = grid.positions()
+    pos = background.grid.positions()
     cosg = np.clip(pos @ axis, -1.0, 1.0)
     gamma = np.clip(np.arccos(cosg), 1e-12, math.pi - 1e-12)
     m_node = -np.log(np.tan(0.5 * gamma))  # +inf at the beta_p end
@@ -243,9 +240,7 @@ def _residual_floor(state: geo.MetricState, profile: sol.SolitonSpec) -> float:
     """
     bg, divisor = state.background, state.grid.divisor
     if state.grid.n_lon == 1 and divisor.k == 2:
-        w = divisor.weights_float()
-        axis = divisor.positions[int(np.argmax(w))]
-        ref = profile_state(bg, profile, axis)
+        ref = profile_state(bg, profile)
         return fn.soliton_residual(ref, fn.ricci_potential(ref))
     return 0.0
 

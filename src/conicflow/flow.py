@@ -199,11 +199,14 @@ def parse_config_file(path: str) -> FlowConfig:
         return parse_config_text(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def build_run_grid(config: FlowConfig) -> geo.SphereGrid:
-    """The grid of a run: the 1-D reduction in colatitude when ``n_lon == 1``."""
+def run_background(config: FlowConfig) -> geo.BackgroundMetric:
+    """The background metric of a run, on the run's grid: the 1-D reduction
+    in colatitude when ``n_lon == 1``."""
     if config.axisymmetric:
-        return geo.build_axis_grid(config.n_lat, config.divisor)
-    return geo.build_grid(config.n_lat, config.n_lon, config.divisor)
+        grid = geo.build_axis_grid(config.n_lat, config.divisor)
+    else:
+        grid = geo.build_grid(config.n_lat, config.n_lon, config.divisor)
+    return geo.background_metric(grid, config.divisor, config.eps)
 
 
 # ----------------------------------------------------------------------
@@ -390,14 +393,11 @@ class FlowTrace:
     snapshots: list = field(default_factory=list, repr=False)  # (t, u) pairs
     solver: dict = field(default_factory=dict)
 
-    def column_names(self):
-        return list(self.columns.keys())
-
     def __getitem__(self, name):
         return self.columns[name]
 
     def to_csv(self, path: str) -> None:
-        names = self.column_names()
+        names = list(self.columns)
         with open(path, "w") as fh:
             fh.write(",".join(["time"] + names) + "\n")
             for i, t in enumerate(self.times):
@@ -405,10 +405,14 @@ class FlowTrace:
                 fh.write(",".join(row) + "\n")
 
 
-def _sample_record(state, v, chow_s, drift):
+def _sample_record(state, chow_s, drift):
+    """The monitors of one sample of ``state``, at Chow shift ``chow_s``
+    and with ``drift`` the last renormalization constant.  The Ricci
+    potential v is solved here, once, for the entropy and the residual."""
     # every distance monitor of this sample, and the verdict on the run's
     # final state, read the state's one geodesic pass (``distance_rows``)
     grid = state.grid
+    v = fn.ricci_potential(state)
     R, r_cone = state.scalar_curvature, state.conical_curvature
     rec = {
         "area": state.area(),
@@ -438,25 +442,23 @@ def _sample_record(state, v, chow_s, drift):
 
 
 def _initial_field(config: FlowConfig, bg: geo.BackgroundMetric) -> np.ndarray:
+    """The conformal factor a run starts from.  ``initial = soliton`` samples
+    the closed-form soliton of the divisor's weights (one point, or two
+    antipodal ones), its heavier cone at the divisor's heaviest point
+    (:func:`~conicflow.diagnostics.profile_state`)."""
     grid = bg.grid
     if config.initial == "zero":
         return np.zeros(grid.n)
     if config.initial == "soliton":
-        # start on the closed-form soliton orbit of the divisor's weights
         div = config.divisor
         if div.k not in (1, 2):
             raise ValueError("initial = soliton needs a 1- or 2-point divisor")
+        # the profile puts the lighter cone at the antipode of the heavier
+        if div.k == 2 and np.linalg.norm(div.positions[0] + div.positions[1]) > MIN_SEPARATION:
+            raise ValueError("initial = soliton needs the two marked points antipodal")
         w = div.weights_float()
-        if div.k == 2:
-            # the profile puts the lighter cone at the antipode of the heavier
-            if np.linalg.norm(div.positions[0] + div.positions[1]) > MIN_SEPARATION:
-                raise ValueError("initial = soliton needs the two marked points antipodal")
-            axis = div.positions[int(np.argmax(w))]
-            prof = sol.soliton_profile(float(w.max()), float(w.min()))
-        else:
-            axis = div.positions[0]
-            prof = sol.soliton_profile(float(w[0]), 0.0)
-        return diag.profile_state(bg, prof, axis).u
+        prof = sol.soliton_profile(float(w.max()), float(w.min()) if div.k == 2 else 0.0)
+        return diag.profile_state(bg, prof).u
     rng = np.random.default_rng(config.seed)
     center = rng.standard_normal(3)
     center /= np.linalg.norm(center)
@@ -468,8 +470,7 @@ def _initial_field(config: FlowConfig, bg: geo.BackgroundMetric) -> np.ndarray:
     return BUMP_AMPLITUDE * np.exp(-ang2 / (2.0 * width * width))
 
 
-def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
-    bg = geo.background_metric(grid, config.divisor, config.eps)
+def _run_loop(config: FlowConfig, bg: geo.BackgroundMetric) -> FlowTrace:
     state = geo.make_state(bg, _initial_field(config, bg))
     state, _ = renormalize(state)
 
@@ -494,9 +495,8 @@ def _run_loop(config: FlowConfig, grid: geo.SphereGrid) -> FlowTrace:
 
     def record():
         """Append one sample; a non-finite monitor ends the run after it."""
-        v = fn.ricci_potential(state)
         s = fn.chow_shift(s0, state.t, half_chi)
-        rows.append(_sample_record(state, v, s, drift_last))
+        rows.append(_sample_record(state, s, drift_last))
         times.append(state.t)
         bad = next((k for k, x in rows[-1].items() if not math.isfinite(x)), None)
         if bad is not None:
@@ -539,4 +539,4 @@ def run(config: FlowConfig) -> FlowTrace:
     the 2-D one, so axisymmetric data gives the same monitors as the 2-D
     grid up to round-off.
     """
-    return _run_loop(config, build_run_grid(config))
+    return _run_loop(config, run_background(config))

@@ -50,7 +50,8 @@ def recover_potential(state: MetricState) -> np.ndarray:
 
 
 def h_background(bg: BackgroundMetric) -> np.ndarray:
-    """Ricci potential h of the background (:attr:`BackgroundMetric.h`)."""
+    """Ricci potential h of the background (:attr:`BackgroundMetric.h`).
+    The package reads ``bg.h``; this is the benchmark's set-up hook."""
     return bg.h
 
 
@@ -75,7 +76,7 @@ def f_beta(state: MetricState) -> float:
 def _f_of_potential(phi: np.ndarray, bg: BackgroundMetric) -> float:
     """F at the potential ``phi`` relative to the background ``bg``."""
     chi = bg.chi()
-    h = h_background(bg)
+    h = bg.h
     e = dirichlet_energy(phi, phi, bg.grid)
     lin = float(np.sum(phi * bg.mass))
     z = float(np.sum(np.exp(-0.5 * chi * phi + h) * bg.mass))
@@ -165,10 +166,7 @@ def soliton_residual(state: MetricState, v: np.ndarray) -> float:
     potential (:func:`ricci_potential`) as ``v``.
     """
     grid = state.grid
-    exclude_radius = max(0.15, 2.0 * state.background.eps)
-    core_mask = np.ones(grid.n, dtype=bool)
-    for node in grid.marked_nodes:
-        core_mask &= state.distance_rows[node] > exclude_radius
+    core_mask = state.far_from_marks(max(0.15, 2.0 * state.background.eps))
     nlat, nlon = grid.n_lat, grid.n_lon
     v2 = np.asarray(v, dtype=float).reshape(nlat, nlon)
     log_dens = (state.background.log_rho + state.u).reshape(nlat, nlon)

@@ -521,6 +521,14 @@ class MetricState:
         d = _csgraph_dijkstra(_edge_graph(self), directed=False, indices=nodes)
         return {s: d[i, : self.grid.n] for i, s in enumerate(nodes)}
 
+    def far_from_marks(self, radius: float) -> np.ndarray:
+        """A new boolean array: the nodes farther than ``radius`` from every
+        marked node, by ``distance_rows`` (all nodes when none is marked)."""
+        mask = np.ones(self.grid.n, dtype=bool)
+        for node in self.grid.marked_nodes:
+            mask &= self.distance_rows[node] > radius
+        return mask
+
 
 def make_state(background: BackgroundMetric, u=None, t: float = 0.0) -> MetricState:
     return MetricState(background, np.zeros(background.grid.n) if u is None else u, t)

@@ -124,9 +124,6 @@ class Divisor:
             "positions": [list(map(float, p)) for p in self.positions],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, data) -> "Divisor":
         """Inverse of :meth:`to_dict`; missing positions spread the points

@@ -1,4 +1,3 @@
-import math
 import os
 import sys
 import types
@@ -14,28 +13,13 @@ import conicflow  # noqa: E402
 from conicflow import cli  # noqa: E402
 from conicflow import flow as fl  # noqa: E402
 from conicflow import geometry as geo  # noqa: E402
-from conicflow.marked_sphere import Divisor  # noqa: E402
 from oracles import football_control_state  # noqa: E402
 
 CONFIG_DIR = os.path.join(os.path.dirname(conicflow.__file__), "configs")
 
 
-def equatorial(lons_deg):
-    return [
-        [math.cos(math.radians(l)), math.sin(math.radians(l)), 0.0] for l in lons_deg
-    ]
-
-
-SHIPPED = {
-    "stable": ([0.5, 0.5, 0.5], [0, 120, 240]),
-    "semistable": ([0.3, 0.3, 0.6], [-25, 25, 180]),
-    "unstable": ([0.1, 0.2, 0.8], [-25, 25, 180]),
-}
-
-
-def shipped_divisor(name):
-    weights, lons = SHIPPED[name]
-    return Divisor(weights, equatorial(lons))
+#: the three shipped 2-D runs, one per stability class
+SHIPPED = ("stable", "semistable", "unstable")
 
 
 def shipped_config_path(name):
@@ -45,6 +29,11 @@ def shipped_config_path(name):
 def shipped_config(name, **overrides):
     cfg = fl.parse_config_file(shipped_config_path(name))
     return replace(cfg, **overrides) if overrides else cfg
+
+
+def shipped_divisor(name):
+    """The divisor of the shipped config ``name``, as its file gives it."""
+    return shipped_config(name).divisor
 
 
 #: fixtures that integrate a flow; a test that requests one, directly or

@@ -328,15 +328,12 @@ def profile_normalized_w(prof: SolitonSpec, n: int = 200) -> float:
     return float(np.sum(w * integrand))
 
 
-def profile_state_whole(
-    background: BackgroundMetric, profile: SolitonSpec, axis=(0.0, 0.0, 1.0)
-) -> MetricState:
+def profile_state_whole(background: BackgroundMetric, profile: SolitonSpec) -> MetricState:
     """``diagnostics.profile_state`` with its trapezoid table of
     m(x) = integral dx/phi built as whole arrays in one pass."""
-    grid = background.grid
-    axis = np.asarray(axis, dtype=float)
+    axis = background.grid.divisor.positions[-1]
     axis = axis / np.linalg.norm(axis)
-    pos = grid.positions()
+    pos = background.grid.positions()
     cosg = np.clip(pos @ axis, -1.0, 1.0)
     gamma = np.clip(np.arccos(cosg), 1e-12, math.pi - 1e-12)
     m_node = -np.log(np.tan(0.5 * gamma))  # +inf at the beta_p end

@@ -15,7 +15,7 @@ from oracles import read_trace
 def divisor_file(tmp_path):
     def write(name, divisor):
         p = tmp_path / f"{name}.json"
-        p.write_text(divisor.to_json())
+        p.write_text(json.dumps(divisor.to_dict()))
         return str(p)
 
     return write
@@ -29,7 +29,7 @@ def run_cli(capsys, *argv):
 
 def tiny_config(tmp_path, divisor, **kv):
     dp = tmp_path / "div.json"
-    dp.write_text(divisor.to_json())
+    dp.write_text(json.dumps(divisor.to_dict()))
     params = {
         "divisor": "div.json",
         "n_lat": 32,
@@ -144,7 +144,7 @@ class TestBadDivisorFile:
         assert err.startswith("error:") and msg in err
 
     @pytest.mark.parametrize("command, text, msg", [
-        ("soliton-table", shipped_divisor("stable").to_json(), "no valid partitions"),
+        ("soliton-table", json.dumps(shipped_divisor("stable").to_dict()), "no valid partitions"),
         ("classify", '{"weights": []}', "at least one marked point"),
         ("soliton-table", '{"weights": []}', "at least one marked point"),
     ], ids=["soliton-table-stable", "classify-empty", "soliton-table-empty"])

@@ -176,10 +176,24 @@ class TestProfileState:
             grid, eps = geo.build_grid(32, 64, d), 0.1
         bg = geo.background_metric(grid, d, eps)
         prof = sol.soliton_profile(beta_p, beta_q)
-        got = diag.profile_state(bg, prof, north).u
-        want = profile_state_whole(bg, prof, north).u
+        got = diag.profile_state(bg, prof).u
+        want = profile_state_whole(bg, prof).u
         assert np.all(np.isfinite(got))
         assert np.array_equal(got, want)
+
+    def test_beta_p_lands_at_the_heaviest_point(self):
+        # the heavier cone at the south pole: the sampled state is the
+        # north-pole one mirrored, not the profile turned the wrong way
+        north, south = [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]
+        prof = sol.soliton_profile(0.8, 0.3)
+        states = []
+        for heavy, light in ((south, north), (north, south)):
+            d = Divisor([0.3, 0.8], [light, heavy])
+            bg = geo.background_metric(geo.build_axis_grid(256, d), d, 0.01)
+            states.append(diag.profile_state(bg, prof).u)
+        south_u, north_u = states
+        assert np.allclose(south_u, north_u[::-1], rtol=0.0, atol=1e-9)
+        assert not np.allclose(south_u, north_u, rtol=0.0, atol=1e-3)
 
 
 class TestDetectConvergence:

@@ -11,7 +11,6 @@ import scipy.sparse.linalg as spla
 
 from conicflow import cli
 from conicflow import flow as fl
-from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow.marked_sphere import Divisor, classify_stability
 from conftest import (
@@ -79,7 +78,7 @@ class TestConfig:
 
     def test_parse_round_trip(self, tmp_path):
         div_path = tmp_path / "d.json"
-        div_path.write_text(shipped_divisor("stable").to_json())
+        div_path.write_text(json.dumps(shipped_divisor("stable").to_dict()))
         cfg_text = (
             f"divisor = {div_path}\n"
             "n_lat = 32\nn_lon = 64\nepsilon = 0.1\ndt = 0.02\n"
@@ -293,7 +292,7 @@ class TestRun:
         tr.to_csv(str(path))
         cols = read_trace(str(path))
         assert np.array_equal(cols.pop("time"), tr.times)
-        assert list(cols) == tr.column_names()
+        assert list(cols) == list(tr.columns)
         for name in tr.columns:
             assert np.array_equal(cols[name], tr[name])
 
@@ -343,8 +342,8 @@ class TestImplicitStepper:
         """Step cfg's flow n_steps times, checking every solve against the
         oracle; returns (factorizations, back-solves, floor rule fired) per
         solve."""
-        grid = fl.build_run_grid(cfg)
-        bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
+        bg = fl.run_background(cfg)
+        grid = bg.grid
         state, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, bg)))
         stepper = fl._ImplicitStepper(bg)
         ref = types.SimpleNamespace(L=grid.L, ordering=grid.ordering, lu=None, d_ref=None)
@@ -465,8 +464,8 @@ class TestImplicitStepper:
 
         monkeypatch.setattr(fl, "spla", types.SimpleNamespace(splu=splu))
         monkeypatch.setattr(fl, "_malloc_trim", lambda pad: events.append("trim"))
-        grid = fl.build_run_grid(cfg)
-        bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
+        bg = fl.run_background(cfg)
+        grid = bg.grid
         state, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, bg)))
         stepper = fl._ImplicitStepper(bg)
         for _ in range(n_steps):
@@ -545,9 +544,9 @@ class TestOrdering:
         # stepper's factor and the grounded factor are bit for bit those of
         # scipy's default panel, so no trace of the axis run moves
         cfg = shipped_config("soliton_axis")
-        grid = fl.build_run_grid(cfg)
+        bg = fl.run_background(cfg)
+        grid = bg.grid
         assert (grid.n, grid.panel_size) == (32768, 5)
-        bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
         state, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, bg)))
         stepper = fl._ImplicitStepper(bg)
         fl._semi_implicit_step(state, cfg.dt, stepper)
@@ -628,7 +627,7 @@ class TestSharedGeodesicPass:
         state = self.bumped_state(cfg)
         chow_s = min(0.0, float(state.conical_curvature.min())) - 0.05
         counts["nearest_node"] = 0  # the grid's own lookups at build time
-        rec = fl._sample_record(state, fn.ricci_potential(state), chow_s, 0.0)
+        rec = fl._sample_record(state, chow_s, 0.0)
         assert counts == {"edge_graph": 1, "dijkstra": 1, "nearest_node": 0}
         assert {"d_p1_p2", "ball_ratio_p3", "diameter", "soliton_residual"} <= set(rec)
 
@@ -647,7 +646,7 @@ class TestSharedGeodesicPass:
         cfg = small_config(initial="bump", seed=4)
         state = self.bumped_state(cfg)
         chow_s = min(0.0, float(state.conical_curvature.min())) - 0.05
-        fl._sample_record(state, fn.ricci_potential(state), chow_s, 0.0)
+        fl._sample_record(state, chow_s, 0.0)
         diag.detect_convergence(state)
         assert (counts["edge_graph"], counts["dijkstra"]) == (1, 1)
 

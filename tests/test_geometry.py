@@ -502,6 +502,16 @@ class TestSharedRows:
         diameter = max(float(one[s].max()) for s in grid.diameter_nodes)
         assert geo.diameter_estimate(st) == diameter
 
+    def test_far_from_marks_is_a_new_mask_from_one_source_rows(self, make_state):
+        st = make_state()
+        nodes = st.grid.marked_nodes
+        one = self.one_source_rows(st, nodes)
+        want = np.all([one[n] > 0.3 for n in nodes], axis=0)
+        mask = st.far_from_marks(0.3)
+        assert np.array_equal(mask, want) and 0 < mask.sum() < st.grid.n
+        mask[:] = False  # the caller's to edit: the next call is unchanged
+        assert np.array_equal(st.far_from_marks(0.3), want)
+
 
 @pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])
 class TestFrozenValues:

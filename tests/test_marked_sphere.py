@@ -43,7 +43,7 @@ class TestDivisor:
 
     def test_json_round_trip_with_rationals(self):
         d = Divisor([Fraction(3, 10), Fraction(3, 5)], [[0, 0, 1], [1, 0, 0]])
-        d2 = Divisor.from_json(d.to_json())
+        d2 = Divisor.from_json(json.dumps(d.to_dict()))
         assert d2.weights == d.weights
         assert d2.exact
         assert np.allclose(d2.positions, d.positions)

@@ -16,6 +16,9 @@ distance pass.
 Only ``soliton.soliton_profile`` calls ``solve_c``, so cone weights reach
 c by one route, and every soliton is the ``SolitonSpec`` it returns.
 
+Only ``flow.run_background`` calls ``geometry.background_metric``, so a run
+and a report on it build their background by one route.
+
 Every SuperLU factor takes the grid's ordering and panel by keyword, so a
 new factor site cannot fall back to SuperLU's own choices.
 
@@ -182,6 +185,16 @@ def test_only_soliton_profile_solves_for_c():
             sites += [f"{path.stem}:{name}" for name, first, last in _definitions(tree)
                       if first <= call.lineno <= last]
     assert sites == ["soliton:soliton_profile"]
+
+
+def test_only_run_background_builds_a_background():
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for call in _calls(tree, "background_metric"):
+            sites += [f"{path.stem}:{name}" for name, first, last in _definitions(tree)
+                      if first <= call.lineno <= last]
+    assert sites == ["flow:run_background"]
 
 
 def _imported_modules(tree):
