@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
 from . import functionals as fn
 from . import geometry as geo
@@ -77,28 +78,17 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict | No
 
 def marked_point_clusters(state: geo.MetricState, tol: float):
     """Single-linkage clustering of the marked points under the geodesic
-    distance; returns (clusters as sorted index lists, distance matrix)."""
+    distance: the connected components of the graph joining two points
+    closer than ``tol``.  Returns (clusters as sorted index lists, ordered
+    by their first index; the distance matrix)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    k = len(state.grid.marked_points)
     dmat = geo.pairwise_marked_distances(state)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(k):
-        for j in range(i + 1, k):
-            if dmat[i, j] < tol:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(k):
-        groups.setdefault(find(i), []).append(i)
-    clusters = sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
-    return clusters, dmat
+    _, labels = connected_components(dmat < tol, directed=False)
+    groups = {}  # filled in index order, so each list and their order are sorted
+    for i, label in enumerate(labels):
+        groups.setdefault(label, []).append(i)
+    return list(groups.values()), dmat
 
 
 def model_cap_area(r: float, curvature: float) -> float:

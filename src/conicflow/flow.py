@@ -429,14 +429,13 @@ def _sample_record(state, chow_s, drift):
         "renorm_drift": drift,
     }
     k = len(grid.marked_nodes)
-    if k:
-        dmat = geo.pairwise_marked_distances(state)
-        for i in range(k):
-            for j in range(i + 1, k):
-                rec[f"d_p{i + 1}_p{j + 1}"] = dmat[i, j]
-        for i, node in enumerate(grid.marked_nodes):
-            rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(
-                state, state.distance_rows[node], BALL_RADIUS)
+    dmat = geo.pairwise_marked_distances(state)
+    for i in range(k):
+        for j in range(i + 1, k):
+            rec[f"d_p{i + 1}_p{j + 1}"] = dmat[i, j]
+    for i, node in enumerate(grid.marked_nodes):
+        rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(
+            state, state.distance_rows[node], BALL_RADIUS)
     rec["diameter"] = geo.diameter_estimate(state)
     return rec
 

@@ -103,17 +103,14 @@ def normalized_w(state: MetricState, f) -> float:
 
 
 def chow_shift(s0: float, t: float, half_chi: float) -> float:
-    """Closed-form solution of ds/dt = s (s - chi/2) with s(0) = s0."""
+    """Closed-form solution of ds/dt = s (s - chi/2) with s(0) = s0.
+
+    Requires chi != 0, which :class:`~conicflow.flow.FlowConfig` guarantees."""
     r = half_chi
     if t < 0:
         raise ValueError("t must be nonnegative")
     if s0 == 0.0:
         return 0.0
-    if r == 0.0:
-        den = 1.0 - s0 * t
-        if den <= 0:
-            raise ValueError("shift ODE blew up (s0 too large)")
-        return s0 / den
     den = s0 + (r - s0) * math.exp(min(r * t, 700.0))
     if not math.isfinite(den) or (r > 0 and den <= 0.0):
         raise ValueError("shift ODE blew up (need s0 < chi/2)")
@@ -163,7 +160,9 @@ def soliton_residual(state: MetricState, v: np.ndarray) -> float:
     geodesic balls of radius max(0.15, 2 eps) around the marked points are
     excluded: inside the smoothed cores the potential carries the
     eps-regularization bowl, not geometry.  The monitor passes the Ricci
-    potential (:func:`ricci_potential`) as ``v``.
+    potential (:func:`ricci_potential`) as ``v``.  On a 1-D grid
+    (``n_lon = 1``) the longitude rolls are the identity, so every eta
+    term is exactly zero and the same code serves both grids.
     """
     grid = state.grid
     core_mask = state.far_from_marks(max(0.15, 2.0 * state.background.eps))
@@ -182,15 +181,12 @@ def soliton_residual(state: MetricState, v: np.ndarray) -> float:
     v_mm = sin_th * sin_th * v_thth + sin_th * cos_th * v_th
     ld_th, _ = _theta_derivative(log_dens, h_th)
     lh_m = sin_th * ld_th + 2.0 * cos_th  # round part differentiated exactly
-    if nlon > 1:
-        h_eta = geo.TWO_PI / nlon
-        v_e = (np.roll(v2, -1, axis=1) - np.roll(v2, 1, axis=1)) / (2 * h_eta)
-        v_ee = (np.roll(v2, -1, axis=1) - 2 * v2 + np.roll(v2, 1, axis=1)) / h_eta**2
-        v_e_th, _ = _theta_derivative(v_e, h_th)
-        v_me = sin_th * v_e_th
-        lh_e = (np.roll(log_dens, -1, axis=1) - np.roll(log_dens, 1, axis=1)) / (2 * h_eta)
-    else:
-        v_e = v_ee = v_me = lh_e = np.zeros_like(v2)
+    h_eta = geo.TWO_PI / nlon
+    v_e = (np.roll(v2, -1, axis=1) - np.roll(v2, 1, axis=1)) / (2 * h_eta)
+    v_ee = (np.roll(v2, -1, axis=1) - 2 * v2 + np.roll(v2, 1, axis=1)) / h_eta**2
+    v_e_th, _ = _theta_derivative(v_e, h_th)
+    v_me = sin_th * v_e_th
+    lh_e = (np.roll(log_dens, -1, axis=1) - np.roll(log_dens, 1, axis=1)) / (2 * h_eta)
 
     t_re = 0.25 * (v_mm - v_ee) - 0.25 * (lh_m * v_m - lh_e * v_e)
     t_im = -0.5 * v_me + 0.25 * (lh_m * v_e + lh_e * v_m)

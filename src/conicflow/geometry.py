@@ -204,8 +204,6 @@ def _nearest_node(n_lat: int, n_lon: int, point) -> int:
     p = p / np.linalg.norm(p)
     theta, eta = angles_from_vec(p)
     i = int(np.clip(round(theta / (math.pi / n_lat) - 0.5), 0, n_lat - 1))
-    if n_lon == 1:
-        return i
     j = int(round(eta / (TWO_PI / n_lon))) % n_lon
     return i * n_lon + j
 

@@ -49,6 +49,18 @@ class TestClusters:
         clusters, _ = diag.marked_point_clusters(st, 100.0)
         assert clusters == [[0, 1, 2]]
 
+    def test_chained_points_form_one_cluster(self):
+        # single linkage: 0-1 and 1-2 are closer than tol, 0-2 is not
+        ang = np.radians([0.0, 30.0, 60.0])
+        d = Divisor([0.2, 0.2, 0.2], np.stack([np.cos(ang), np.sin(ang), 0 * ang], axis=1))
+        grid = geo.build_grid(64, 128, d)
+        st = geo.make_state(geo.background_metric(grid, d, 0.05))
+        dmat = geo.pairwise_marked_distances(st)
+        link = max(dmat[0, 1], dmat[1, 2])
+        assert link < dmat[0, 2]
+        clusters, _ = diag.marked_point_clusters(st, 0.5 * (link + dmat[0, 2]))
+        assert clusters == [[0, 1, 2]]
+
     def test_tol_validated(self, round_state):
         with pytest.raises(ValueError):
             diag.marked_point_clusters(round_state, 0.0)

@@ -185,6 +185,12 @@ class TestHamiltonEntropy:
         assert all(a < b <= 0 for a, b in zip(s, s[1:]))
         assert abs(s[-1]) < 1e-12
 
+    @pytest.mark.parametrize("r", [0.45, -0.35])
+    def test_chow_shift_from_zero_stays_positive_zero(self, r):
+        for t in (0.0, 5.0, 80.0):
+            s = fn.chow_shift(0.0, t, r)
+            assert s == 0.0 and math.copysign(1.0, s) == 1.0
+
     def test_chow_shift_solves_ode(self):
         # ds/dt = s(s - r) checked by finite differences
         r, s0, h = 0.45, -1.7, 1e-6

@@ -1,10 +1,14 @@
 """The benchmark (perfbench/) reaches into conicflow by name: its layer
 tracer wraps functions by attribute name, and its workloads build configs
 from the shipped files and read FlowConfig fields.  A rename or a removed
-config key breaks every benchmark run; these tests catch it in tier-1."""
+config key breaks every benchmark run; these tests catch it in tier-1, and
+so does a change that moves a workload's trace outside the benchmark's
+correctness gate."""
 
 import importlib
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,3 +85,29 @@ def test_manifest_stall_refactorizations_match_the_trace(bench, tmp_path, n_lat,
     metrics = layers.layer_metrics(tracer, 0)
     assert metrics["flow.stall_refactorizations"] == solver["stall_refactorizations"] > 0
     assert solver["stall_refactorizations"] < solver["factorizations"]
+
+
+#: one benchmark run and its gate, through perfbench/run.py's run_once;
+#: ``run`` imports ``workloads`` first, so the BLAS threads are pinned
+#: before numpy loads, as in the benchmark and when its reference was written
+GATE_CHECK = """
+import json, sys
+from pathlib import Path
+import run
+w = run.workloads
+cfg = w.WORKLOADS[sys.argv[1]].config(w.REFERENCE_SEED)
+with open(w.REFERENCE_PATH) as fh:
+    reference = json.load(fh)[sys.argv[1]]
+print(json.dumps(run.run_once(cfg, Path(sys.argv[2]), reference)[2]))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["flow2d_unstable", "axis1d_soliton", "monitors2d_semistable"])
+def test_workload_passes_the_gate_at_the_reference_seed(tmp_path, name):
+    # a fresh process: here numpy is loaded already, and pinning the
+    # threads now would not reach its BLAS
+    out = subprocess.run([sys.executable, "-c", GATE_CHECK, name, str(tmp_path / "run")],
+                         cwd=BENCH_DIR, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == []
