@@ -9,16 +9,10 @@ would erase the cones).  Each step is semi-implicit: backward Euler
 for the diffusion ``e^-u Lap_bg u`` with the factor ``e^-u`` frozen at the
 current state, and the reaction ``chi/2 - e^-u R_bg,cone`` explicit.  That is
 one SPD sparse solve per step, against a cached LU factor reused across
-steps as the preconditioner of iterative refinement.  The factor takes the
-grid's column ordering (``SphereGrid.ordering``): minimum degree on the
-symmetric structure of 2-D grids, COLAMD on the 1-D grid.  Every step shares
-the matrix's pattern, so on the 1-D grid the stepper computes the COLAMD
-order once per run and factors the pre-permuted matrix in natural order,
-which gives the same factor bit for bit; a 2-D grid orders at every
-factorization, because there pre-permuting changes the factor's round-off.
-Every factor also takes the grid's SuperLU panel (``SphereGrid.panel_size``):
-5 columns on the 1-D grid, whose tridiagonal factors gain nothing from wider
-panels and come out bit for bit the same, and scipy's default in 2-D.
+steps as the preconditioner of iterative refinement.  Every step shares
+the matrix's pattern, so the stepper computes the grid's column ordering
+(``SphereGrid.ordering``) once per run and factors the pre-permuted matrix
+in natural order, with SuperLU's 5-column panel (``geometry.PANEL_SIZE``).
 Where refinement stalls even against a fresh factor (the residual floor
 cond(A) u lies above the target, as on the 32768-row axis grid), each later
 step refactors and refines once instead, and the stepper stops trimming the
@@ -227,18 +221,12 @@ class _ImplicitStepper:
     SuperLU orders the columns by the grid's ``ordering``; on a 2-D grid
     minimum degree about halves the cost of each back-solve against COLAMD.
 
-    On a 1-D grid the stepper refactors on every step of a long run, and
-    each SuperLU call would rerun COLAMD on a pattern that never changes.
-    So it computes that order once, keeps the symmetrically permuted matrix
-    ``A[perm][:, perm]`` and factors it in natural order: the factor, its
-    pivots and every solve are bit for bit those of a per-factor COLAMD
-    factor, at ~25% less time per factorization on the 32768-row grid.  A
-    2-D grid orders at every factorization: there the pre-permuted factor
-    is not bit for bit the same (solves differ by up to 3e-15 relative on
-    the 64x128 unstable flow), and it factors only a few times per run.
-    Every factor, the order probe's included, takes the grid's
-    ``panel_size``: on the 1-D grid a 5-column panel cuts the cost of each
-    factorization by ~40% and leaves the factor bit for bit the same.
+    The matrix's pattern never changes, so the stepper computes that order
+    once, keeps the symmetrically permuted matrix ``A[perm][:, perm]`` and
+    factors it in natural order: on the 1-D grid the factor, its pivots and
+    every solve are bit for bit those of a per-factor COLAMD factor, at ~25%
+    less time per factorization on the 32768-row grid.  Every factor, the
+    order probe's included, takes the 5-column ``geo.PANEL_SIZE``.
 
     Refinement cannot push the residual below about cond(A) u.  When it
     stalls against a factor built in the same call, that floor lies above
@@ -256,26 +244,21 @@ class _ImplicitStepper:
     def __init__(self, background: geo.BackgroundMetric):
         self.bg = background
         grid = background.grid
+        # COLAMD, minimum degree and SuperLU's postorder read only the
+        # pattern; L + I has that of every diag(d) + L and is nonsingular.
+        # scipy's perm_c maps an original column to its place, so invert it:
+        # x[perm] solves the permuted system for b[perm]
         A = grid.L.tocsc()
-        # on a 1-D grid: x[perm] solves the permuted system for b[perm]
-        self.perm = None
-        self._permc_spec = grid.ordering
-        if grid.n_lon == 1:
-            # COLAMD and SuperLU's postorder read only the pattern; L + I has
-            # that of every diag(d) + L and is nonsingular.  scipy's perm_c
-            # maps an original column to its place, so invert it.
-            probe = A + sp.identity(grid.n, format="csc")
-            self.perm = np.argsort(spla.splu(
-                probe, permc_spec=grid.ordering, panel_size=grid.panel_size).perm_c)
-            # the probe factor's heap, left untrimmed, let the axis run's
-            # peak RSS vary by 10-15 MB from process to process
-            if _malloc_trim is not None:
-                _malloc_trim(0)
-            A = A[self.perm][:, self.perm].tocsc()
-            self._permc_spec = "NATURAL"
+        probe = A + sp.identity(grid.n, format="csc")
+        self.perm = np.argsort(spla.splu(
+            probe, permc_spec=grid.ordering, panel_size=geo.PANEL_SIZE).perm_c)
+        # the probe factor's heap, left untrimmed, let the axis run's
+        # peak RSS vary by 10-15 MB from process to process
+        if _malloc_trim is not None:
+            _malloc_trim(0)
         # diag(d) + L in CSC with sorted indices; a factorization overwrites
         # its diagonal entries in place instead of rebuilding the matrix
-        self.A = A
+        self.A = A[self.perm][:, self.perm].tocsc()
         self.A.sort_indices()
         col = np.repeat(np.arange(self.A.shape[1]), np.diff(self.A.indptr))
         self._diag = np.flatnonzero(self.A.indices == col)
@@ -288,7 +271,7 @@ class _ImplicitStepper:
         self.worst_residual = 0.0
 
     def _factor(self, d):
-        self.A.data[self._diag] = self._L_diag + (d if self.perm is None else d[self.perm])
+        self.A.data[self._diag] = self._L_diag + d[self.perm]
         # the old factor goes before the next is built, so two never coexist.
         # While factorizations are rare (every 2-D run, and 1-D runs whose
         # refinement converges) the heap is trimmed too, which holds the 2-D
@@ -299,14 +282,11 @@ class _ImplicitStepper:
         self.lu = None
         if _malloc_trim is not None and not self.floor_above_target:
             _malloc_trim(0)
-        self.lu = spla.splu(self.A, permc_spec=self._permc_spec,
-                            panel_size=self.bg.grid.panel_size)
+        self.lu = spla.splu(self.A, permc_spec="NATURAL", panel_size=geo.PANEL_SIZE)
         self.factorizations += 1
 
     def _backsolve(self, b):
         self.backsolves += 1
-        if self.perm is None:
-            return self.lu.solve(b)
         x = np.empty_like(b)
         x[self.perm] = self.lu.solve(b[self.perm])
         return x
@@ -319,7 +299,7 @@ class _ImplicitStepper:
             "worst_residual": self.worst_residual,
             "floor_above_target": self.floor_above_target,
             "ordering": self.bg.grid.ordering,
-            "panel_size": self.bg.grid.panel_size,
+            "panel_size": geo.PANEL_SIZE,
         }
 
     def solve(self, d, rhs):

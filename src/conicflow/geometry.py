@@ -54,6 +54,19 @@ ROUND_R2 = 1.0 / TWO_PI
 MIN_N_LAT = 16
 MIN_N_LON = 32
 
+#: SuperLU panel width (``panel_size``) of every factor on every grid.
+#: SuperLU factors a panel of columns at a time and sets up work arrays of
+#: rows x panel for each factorization.  On the 32768-row axis grid, whose
+#: tridiagonal factors gain nothing from panels, a stepper factor takes
+#: 8.5-11.7 ms at 5 columns against 16.9-19.4 ms at scipy's default (about
+#: 20) and touches 6.9 MB against 14.4 MB (scipy 1.17.1, 2-core Xeon), with
+#: the default's factors bit for bit.  Other widths do not keep that: 1, 2
+#: and 4 move the axis run's round-off, 8 and 16 change the 8192-row
+#: factors, and 32 has crashed ``splu``.  On 2-D grids 5 columns keep the
+#: fill and the back-solve time, and take 7-25% off each factorization at
+#: 64x128 and 128x256.
+PANEL_SIZE = 5
+
 
 #: the internal unit convention, written to every run's manifest
 UNITS = {
@@ -141,34 +154,10 @@ class SphereGrid:
         grounded factor ``soliton_residual`` by 2.0e-8 and ``f_beta`` by
         1.5e-8.
 
-        The 1-D stepper, which refactors on every step of a long run,
-        computes this order once per run and factors the pre-permuted matrix
-        in natural order, bit for bit the same factor.  2-D factors are
-        ordered at every factorization: pre-permuting there changes the
-        factor's round-off, and the 2-D stepper factors only a few times.
-        Every factor takes the grid's ``panel_size`` with this ordering.
+        The stepper computes this order once per run and factors the
+        pre-permuted matrix in natural order.
         """
         return "COLAMD" if self.n_lon == 1 else "MMD_AT_PLUS_A"
-
-    @property
-    def panel_size(self) -> int | None:
-        """SuperLU panel width (``panel_size``) of every factor on the grid:
-        5 on 1-D grids, scipy's default (``None``, about 20 columns) on 2-D.
-
-        SuperLU factors a panel of columns at a time and sets up work arrays
-        of rows x panel for each factorization.  A tridiagonal factor gains
-        nothing from panels, so on the 32768-row axis grid those arrays are
-        most of its cost.  Measured there with scipy 1.17.1 on a 2-core Xeon:
-        a stepper factor takes 8.5-11.7 ms at panel 5 against 16.9-19.4 ms
-        at the default, and touches 6.9 MB of memory against 14.4 MB.  The
-        factors are bit for bit the default's (``L``, ``U``, ``perm_r``), so
-        no trace moves.  Other panels do not keep that: 1, 2 and 4 move the
-        axis run's round-off, 8 and 16 change the 8192-row factors, and 32
-        has crashed ``splu``.  On 2-D grids a smaller panel changes the
-        factors and saves at most 15% on the few factorizations of a run,
-        so they keep the default.
-        """
-        return 5 if self.n_lon == 1 else None
 
     def positions(self) -> np.ndarray:
         th = np.repeat(self.theta, self.n_lon)
@@ -178,12 +167,11 @@ class SphereGrid:
     @cached_property
     def _ground_lu(self):
         return spla.splu(self.L[1:, 1:].tocsc(), permc_spec=self.ordering,
-                         panel_size=self.panel_size)
+                         panel_size=PANEL_SIZE)
 
     def ground_solve(self, b: np.ndarray) -> np.ndarray:
         """Solve L x = b (consistent b) with x at node 0 pinned to zero,
-        against one LU of ``L[1:, 1:]`` in the grid's ``ordering`` and
-        ``panel_size``."""
+        against one LU of ``L[1:, 1:]`` in the grid's ``ordering``."""
         x = np.zeros(self.n)
         x[1:] = self._ground_lu.solve(b[1:])
         return x

@@ -19,8 +19,8 @@ c by one route, and every soliton is the ``SolitonSpec`` it returns.
 Only ``flow.run_background`` calls ``geometry.background_metric``, so a run
 and a report on it build their background by one route.
 
-Every SuperLU factor takes the grid's ordering and panel by keyword, so a
-new factor site cannot fall back to SuperLU's own choices.
+Every SuperLU factor takes its ordering and panel by keyword, so a new
+factor site cannot fall back to SuperLU's own choices.
 
 The modules import one another in one order, marked_sphere < soliton <
 geometry < functionals < diagnostics < flow < cli, with no deferred
@@ -117,7 +117,7 @@ def test_only_geometry_makes_a_distance_pass():
 
 
 #: what every ``splu`` call in the package passes (``SphereGrid.ordering``
-#: and ``SphereGrid.panel_size``, or the 1-D stepper's pre-permuted order)
+#: or the stepper's pre-permuted order, and ``geometry.PANEL_SIZE``)
 FACTOR_KEYWORDS = {"permc_spec", "panel_size"}
 
 
