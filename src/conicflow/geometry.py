@@ -593,10 +593,10 @@ def diameter_estimate(state: MetricState) -> float:
 
 def save_field(path: str, values: np.ndarray) -> None:
     """Write a node field as (index, value) CSV rows."""
+    # the rows of csv.writer's default dialect, without a call per row
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        for i, v in enumerate(np.asarray(values, dtype=float)):
-            wr.writerow([i, f"{v:.17g}"])
+        values = map(float, np.asarray(values, dtype=float))
+        fh.writelines(f"{i},{v:.17g}\r\n" for i, v in enumerate(values))
 
 
 def load_field(path: str, n: int = None) -> np.ndarray:

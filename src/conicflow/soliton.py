@@ -18,10 +18,8 @@ Moment-coordinate calculus used throughout the package:
     |grad f|^2         = phi (f')^2 / 2
     scalar curvature R = -phi'' / 2
 
-c is solved by this module's own port of Brent's method (R. P. Brent,
-*Algorithms for Minimization without Derivatives*, 1973, ch. 4), step for
-step as scipy.optimize.brentq, so no package module imports scipy.optimize
-(~15 MB of resident memory and ~0.13 s to load).
+c is solved by bisection down to adjacent floats, so no package module
+imports scipy.optimize (~15 MB of resident memory and ~0.13 s to load).
 """
 
 from __future__ import annotations
@@ -55,72 +53,12 @@ def tau_of_c(c: float) -> float:
     return 1.0 / math.tanh(c) - 1.0 / c
 
 
-def _dtau_dc(c: float) -> float:
-    # variance of x under the tilted measure; strictly positive, and at
-    # least 1.2e-32 on solve_c's bracket (c < 9.1e15), so never zero
-    if abs(c) < SERIES_CUTOFF:
-        c2 = c * c
-        return 1.0 / 3.0 + c2 * (-1.0 / 15.0 + c2 * (2.0 / 189.0 - c2 / 675.0))
-    if abs(c) > 350.0:
-        return 1.0 / (c * c)
-    s = math.sinh(c)
-    return 1.0 / (c * c) - 1.0 / (s * s)
-
-
-def _brentq(f, a, b, xtol, rtol, maxiter=100):
-    """Root of ``f`` on the sign-changing bracket [a, b] by Brent's method.
-
-    Repeats scipy.optimize.brentq (scipy's ``Zeros/brentq.c``) operation
-    for operation: the same bracket swap, interpolation/extrapolation test
-    and step floor, so it returns the same float.  Raises ValueError when
-    f(a) and f(b) have the same sign, RuntimeError after ``maxiter``
-    iterations without convergence.
-    """
-    xpre, xcur = a, b
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            # keep the best estimate in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-
-
 def solve_c(tau: float) -> float:
-    """Unique c with tau_of_c(c) = tau, for |tau| < 1."""
+    """Unique c with tau_of_c(c) = tau, for |tau| < 1.
+
+    Bisects the bracket down to two adjacent floats and returns the one
+    whose tau is nearer to ``tau`` (the upper one on a tie).
+    """
     tau = float(tau)
     if not abs(tau) < 1.0:
         raise ValueError(f"|tau| must be < 1, got {tau}")
@@ -128,10 +66,13 @@ def solve_c(tau: float) -> float:
         return 0.0
     t = abs(tau)
     # tau(c) ~ 1 - 1/c for large c, so c < 1/(1-t) + 2 brackets the root
-    hi = 1.0 / (1.0 - t) + 2.0
-    c = _brentq(lambda x: tau_of_c(x) - t, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
-    for _ in range(2):  # Newton polish for the round-trip guarantee
-        c -= (tau_of_c(c) - t) / _dtau_dc(c)
+    lo, hi = 0.0, 1.0 / (1.0 - t) + 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if tau_of_c(mid) < t:
+            lo = mid
+        else:
+            hi = mid
+    c = lo if abs(tau_of_c(lo) - t) < abs(tau_of_c(hi) - t) else hi
     return math.copysign(c, tau)
 
 

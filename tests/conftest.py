@@ -69,7 +69,7 @@ def skew_factors_from_third_solve(monkeypatch):
     class Skewed:
         def __init__(self, lu):
             self.lu = lu
-            self.perm_c = lu.perm_c  # the 1-D stepper reads its column order
+            self.perm_c = lu.perm_c  # the stepper reads its column order
 
         def solve(self, b):
             return (2.5 if len(solves) >= 3 else 1.0) * self.lu.solve(b)

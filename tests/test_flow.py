@@ -444,8 +444,8 @@ class TestImplicitStepper:
     ], ids=["axis_4096", "grid_64x128"])
     def test_heap_trimmed_after_the_order_probe(self, monkeypatch, n_lat, n_lon, ordering):
         # the probe factor that gives the stepper its order is dropped and
-        # the heap trimmed at once; left untrimmed, it let the peak RSS of
-        # the 32768-row axis run vary by 10-15 MB between processes
+        # the heap trimmed at once; left untrimmed, it raised the peak RSS of
+        # the 32768-row axis run by ~6 MB
         events = []
 
         def splu(A, **kw):

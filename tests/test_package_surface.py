@@ -33,7 +33,7 @@ No module imports ``warnings``: the package raises no warning for a caller
 to silence, and ``soliton-table`` prints its caveats itself.
 
 Only ``flow._ImplicitStepper`` trims the C heap: once in ``__init__``, after
-the 1-D order probe, and once in ``_factor``, under a guard on
+the order probe, and once in ``_factor``, under a guard on
 ``floor_above_target``, so a trim on every step cannot come back unnoticed.
 """
 

@@ -113,8 +113,8 @@ class TestSolveC:
         assert not loaded, "a soliton run loaded scipy.optimize"
 
 
-class TestBrentq:
-    """``soliton._brentq`` is scipy.optimize.brentq, float for float."""
+class TestSolveCBisection:
+    """``solve_c`` bisects to adjacent floats and returns the nearer end."""
 
     TAUS = np.concatenate(
         [
@@ -126,52 +126,30 @@ class TestBrentq:
         ]
     )
 
-    def test_matches_scipy(self):
-        from scipy.optimize import brentq
+    def test_odd(self):
+        for t in self.TAUS:
+            assert sol.solve_c(-t) == -sol.solve_c(t), t
 
+    def ends(self):
+        # (t, c, the float next to c on the other side of the root)
         for t in self.TAUS:
             t = float(t)
-            hi = 1.0 / (1.0 - t) + 2.0
-            f = lambda x: sol.tau_of_c(x) - t
-            want = brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16)
-            assert sol._brentq(f, 0.0, hi, xtol=1e-14, rtol=8.9e-16) == want, t
+            c = sol.solve_c(t)
+            yield t, c, math.nextafter(c, math.inf if sol.tau_of_c(c) < t else 0.0)
 
-    def test_solve_c_matches_scipy_root(self):
-        # solve_c's route with scipy's root-finder: its root, then the same
-        # two Newton steps
-        from scipy.optimize import brentq
+    def test_c_and_its_neighbour_bracket_the_root(self):
+        for t, c, other in self.ends():
+            lo, hi = sorted((c, other))
+            assert sol.tau_of_c(lo) < t <= sol.tau_of_c(hi), t
 
-        for t in self.TAUS:
-            t = float(t)
-            c = brentq(lambda x: sol.tau_of_c(x) - t, 0.0, 1.0 / (1.0 - t) + 2.0, xtol=1e-14, rtol=8.9e-16)
-            for _ in range(2):
-                d = sol._dtau_dc(c)
-                if d <= 0:
-                    break
-                c -= (sol.tau_of_c(c) - t) / d
-            assert sol.solve_c(t) == c, t
-            assert sol.solve_c(-t) == -c, t
+    def test_c_is_the_nearer_end(self):
+        for t, c, other in self.ends():
+            near, far = abs(sol.tau_of_c(c) - t), abs(sol.tau_of_c(other) - t)
+            assert near < far or (near == far and c > other), t
 
-    def test_sign_error(self):
-        from scipy.optimize import brentq
-
-        f = lambda x: x * x + 2.0
-        with pytest.raises(ValueError, match="different signs"):
-            brentq(f, 0.0, 2.0)
-        with pytest.raises(ValueError, match="different signs"):
-            sol._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16)
-
-    def test_non_convergence(self):
-        from scipy.optimize import brentq
-
-        f = lambda x: x * x - 2.0
-        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
-            brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
-        with pytest.raises(RuntimeError, match="Failed to converge after 3 iterations"):
-            sol._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=3)
-        want = brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16, maxiter=100)
-        assert sol._brentq(f, 0.0, 2.0, xtol=1e-14, rtol=8.9e-16) == want
-        assert want == pytest.approx(math.sqrt(2.0), abs=1e-14)
+    def test_round_trip(self):
+        worst = max(abs(sol.tau_of_c(sol.solve_c(s)) - s) for t in self.TAUS for s in (float(t), -float(t)))
+        assert worst <= 1e-14
 
 
 class TestFOfC:
