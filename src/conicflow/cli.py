@@ -278,9 +278,9 @@ def parse_sweep_file(path: str):
 
 
 def _sweep_one(payload):
-    config, overrides, out_dir, tag = payload
+    config, overrides, out_dir, tag, config_hash = payload
     try:
-        result = execute_run(config, out_dir, tag)
+        result = execute_run(config, out_dir, config_hash)
         trace, report = result["trace"], result["report"]
         solver = result["manifest"]["solver"]
         row = {
@@ -308,6 +308,7 @@ def cmd_sweep(args) -> int:
         base_config = fl.parse_config_file(base_path)
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad base config {base_path!r}: {exc}") from exc
+    config_hash = _sha256(base_path)
     out_root = args.out or "sweep_out"
     keys = sorted(lists.keys())
     jobs = []
@@ -316,10 +317,12 @@ def cmd_sweep(args) -> int:
         tag = "run_" + "_".join(f"{k}{v}" for k, v in overrides.items())
         try:
             config = fl.override(base_config, overrides)
+            # the set-up a run does before its loop: grid, background, initial field
+            fl._initial_field(config, fl.run_background(config))
         except ValueError as exc:
             raise UsageError(f"bad sweep values {overrides}: {exc}") from exc
-        jobs.append((config, overrides, os.path.join(out_root, tag), tag))
-    # every job is checked before anything is written
+        jobs.append((config, overrides, os.path.join(out_root, tag), tag, config_hash))
+    # every job is set up before anything is written
     os.makedirs(out_root, exist_ok=True)
     if args.workers > 1:
         # a fork pool starts all its workers on the first submit

@@ -37,8 +37,8 @@ PROFILE_TOL = 0.2
 
 
 def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict | None:
-    """Curvature extremes over the sphere minus delta-balls at marked points,
-    or None when the balls cover every node.
+    """Curvature extremes over the sphere minus delta-balls at marked points
+    and minus the two pole rows, or None when these cover every node.
 
     ``delta_exclusion`` must stay outside the smoothed cone cores
     (at least 2 eps).
@@ -47,14 +47,13 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict | No
     if delta_exclusion < 2.0 * eps:
         raise ValueError(f"delta_exclusion must be >= 2 eps = {2 * eps}")
     mask = state.far_from_marks(delta_exclusion)
-    if state.grid.n_lon > 1:
-        # the pole closure is not consistent: on the pole rows the error of
-        # Lap Y = -Y stays ~0.09 for cos(theta) and grows like 1/h for
-        # sin(theta) cos(eta).  The two rows carry ~h^2 of the area but
-        # would pollute sup-norms of imported (non-flow) states
-        m2 = mask.reshape(state.grid.n_lat, state.grid.n_lon)
-        m2[0, :] = m2[-1, :] = False
-        mask = m2.ravel()
+    # the pole closure is not consistent: on the pole rows the error of
+    # Lap Y = -Y stays ~0.09 for cos(theta) and grows like 1/h for
+    # sin(theta) cos(eta).  The two rows carry ~h^2 of the area but would
+    # pollute sup-norms of imported (non-flow) states.  The 1-D stencil is
+    # the exact zonal aggregate of the 2-D one, so both grids drop them
+    n_lon = state.grid.n_lon
+    mask[:n_lon] = mask[-n_lon:] = False
     if not mask.any():
         return None
     # statistics are taken on the smooth-part curvature: the full R keeps a

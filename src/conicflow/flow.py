@@ -515,7 +515,7 @@ def run(config: FlowConfig) -> FlowTrace:
 
     ``n_lon == 1`` runs the 1-D reduction in colatitude, for at most two
     marked points at the poles: its stencil is the exact zonal aggregate of
-    the 2-D one, so axisymmetric data gives the same monitors as the 2-D
-    grid up to round-off.
+    the 2-D one, so axisymmetric data gives the same monitors and the same
+    verdict statistics as the 2-D grid up to round-off.
     """
     return _run_loop(config, run_background(config))

@@ -278,10 +278,18 @@ def _assemble_grid(
     n = n_lat * n_lon
     idx = np.arange(n).reshape(n_lat, n_lon)
     east = np.roll(idx, -1, axis=1)  # idx[i, (j + 1) % n_lon]
-    # meridian edges: conformal resistance between node latitudes
+    r = math.sqrt(ROUND_R2)
+    # one list of links for the stencil and the geodesic graph: south from
+    # every row but the last, then east on 2-D grids.  A south link's
+    # conductance is the conformal one between node latitudes, an east
+    # link's the cell height in Mercator over the cell width.  The graph
+    # adds the 2-D south-east and south-west diagonals (da -> db); its
+    # south links are a row apart, and its east and diagonal links take
+    # their row's round length (row_len, by math.sin and math.hypot, whose
+    # rounding numpy's vectorized versions need not share)
     ea, eb = [idx[:-1].ravel()], [idx[1:].ravel()]
     ek = [np.repeat((1.0 / FOUR_PI) * h_eta / (m[1:] - m[:-1]), n_lon)]
-    # zonal edges: cell height in Mercator over cell width
+    da, db, row_len = [], [], []
     if n_lon > 1:
         # the interior faces only: at the poles the Mercator coordinate is
         # infinite, and the two pole caps take their height from the node
@@ -289,6 +297,11 @@ def _assemble_grid(
         dm = np.concatenate([[m_face[0] - m[0]], np.diff(m_face), [m[-1] - m_face[-1]]])
         ea.append(idx.ravel()), eb.append(east.ravel())
         ek.append(np.repeat((1.0 / FOUR_PI) * dm / h_eta, n_lon))
+        west = np.roll(idx, 1, axis=1)  # idx[i, (j - 1) % n_lon]
+        da, db = [idx[:-1].ravel()] * 2, [east[1:].ravel(), west[1:].ravel()]
+        row_len.append([r * math.sin(t) * h_eta for t in theta])
+        row_len += [[r * math.hypot(h_theta, math.sin(0.5 * (theta[i] + theta[i + 1])) * h_eta)
+                     for i in range(n_lat - 1)]] * 2
     a, b, k = (np.concatenate(e) for e in (ea, eb, ek))
     # each edge adds [a, b, a, b] x [b, a, a, b] x [-k, -k, k, k], in edge
     # order, so the duplicates on the diagonal sum in a fixed order
@@ -297,36 +310,20 @@ def _assemble_grid(
     vals = np.stack([-k, -k, k, k], axis=1).ravel()
     L = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
-    # Dijkstra edge set: 4-neighbors plus diagonals, plus virtual pole hubs
-    r = math.sqrt(ROUND_R2)
-    if n_lon > 1:
-        # each node of rows 0..n_lat-2 links south, south-east, south-west
-        # and east, in that order; each node of the last row links east.
-        # The per-row lengths take math.sin and math.hypot, whose rounding
-        # numpy's vectorized versions need not share.
-        diag = np.array([r * math.hypot(h_theta, math.sin(0.5 * (theta[i] + theta[i + 1])) * h_eta)
-                         for i in range(n_lat - 1)])
-        zonal = np.array([r * math.sin(t) * h_eta for t in theta])
-        west = np.roll(idx, 1, axis=1)  # idx[i, (j - 1) % n_lon]
-        south = np.stack([idx[1:], east[1:], west[1:], east[:-1]], axis=2)
-        south_len = np.empty(south.shape)
-        south_len[..., 0] = r * h_theta
-        south_len[..., 1] = south_len[..., 2] = diag[:, None]
-        south_len[..., 3] = zonal[:-1, None]
-        ea = np.concatenate([np.repeat(idx[:-1].ravel(), 4), idx[-1]])
-        eb = np.concatenate([south.ravel(), east[-1]])
-        el = np.concatenate([south_len.ravel(), np.full(n_lon, zonal[-1])])
-        pole_nodes = np.concatenate([idx[0], idx[-1]])
-    else:
-        ea, eb = np.arange(n_lat - 1), np.arange(1, n_lat)
-        el = np.full(n_lat - 1, r * h_theta)
-        pole_nodes = np.array([0, n_lat - 1])
+    # the graph's arrays are made after L, in this order: on the 32768-row
+    # axis grid, other orders have so placed them in the C heap that the
+    # benchmark's peak RSS rose from ~87 to ~93 MB, or that every
+    # factorization faulted its pages in afresh.  No link repeats, and the
+    # CSR form sorts each row, so the order of the links is free
+    ga, gb = np.concatenate(ea + da), np.concatenate(eb + db)
+    el = [np.full(n - n_lon, r * h_theta)] + [np.repeat(x, n_lon) for x in row_len]
     # hub n links the north row, hub n + 1 the south row, at half a row
-    hubs = np.repeat([n, n + 1], pole_nodes.size // 2)
+    pole_nodes = np.concatenate([idx[0], idx[-1]])
+    hubs = np.repeat([n, n + 1], n_lon)
     graph = sp.coo_matrix(
-        (np.concatenate([el, np.full(pole_nodes.size, r * h_theta / 2.0)]),
-         (np.concatenate([ea, hubs]).astype(np.int32),
-          np.concatenate([eb, pole_nodes]).astype(np.int32))),
+        (np.concatenate(el + [np.full(pole_nodes.size, r * h_theta / 2.0)]),
+         (np.concatenate([ga, hubs]).astype(np.int32),
+          np.concatenate([gb, pole_nodes]).astype(np.int32))),
         shape=(n + 2, n + 2),
     ).tocsr()
     # a hub slot's weight (len / 2) * (s + s) equals len * s exactly

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -434,6 +435,9 @@ class TestSweep:
         assert "epsilon" in rows[0] and "seed" in rows[0]
         manifest = json.loads((out / "run_epsilon0.1_seed3" / "manifest.json").read_text())
         assert manifest["config"]["eps"] == 0.1 and manifest["config"]["seed"] == 3
+        # every run records the SHA-256 of the base config file, as ``run`` does
+        with open(cfg, "rb") as fh:
+            assert manifest["config_hash"] == hashlib.sha256(fh.read()).hexdigest()
         # each row carries its run's solver counters, as in its manifest
         for row in csv.DictReader(rows):
             solver = json.loads((out / row["run"] / "manifest.json").read_text())["solver"]
@@ -520,7 +524,7 @@ class TestSweep:
     def test_bad_sweep_value_rejected(self, capsys, tmp_path, monkeypatch):
         # no --out: a rejected sweep must not leave its default directory
         monkeypatch.chdir(tmp_path)
-        tiny_config(tmp_path, shipped_divisor("stable"))
+        tiny_config(tmp_path, shipped_divisor("stable"), initial="bump")
         sweep = tmp_path / "sweep.cfg"
         for line, msg in (("sweep_seed = 1, x", "invalid literal"),
                           ("sweep_initial = zero, sine", "unknown initial condition"),
@@ -530,7 +534,13 @@ class TestSweep:
                           ("sweep_dt = 0.05, 0.050", "line 2: repeated value 0.05"),
                           ("sweep_seed = 1, 2, 01", "line 2: repeated value 1"),
                           ("sweep_dt = 0.5\nsweep_dt = 0.25", "line 3: duplicate key 'sweep_dt'"),
-                          ("config = run.cfg\nsweep_seed = 1", "line 2: duplicate key 'config'")):
+                          ("config = run.cfg\nsweep_seed = 1", "line 2: duplicate key 'config'"),
+                          # values that only the run's set-up rejects: grid,
+                          # background and initial field
+                          ("sweep_epsilon = 0.1, 0.001", "cone core unresolved"),
+                          ("sweep_n_lat = 32, 8", "resolution too small"),
+                          ("sweep_n_lon = 64, 1", "at most 2 marked points"),
+                          ("sweep_seed = 3, -1", "expected non-negative integer")):
             sweep.write_text(f"config = run.cfg\n{line}\n")
             code, _, err = run_cli(capsys, "sweep", "--config", str(sweep))
             assert code == 1

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conicflow import cli
+from conicflow import diagnostics as diag
 from conicflow import flow as fl
 from conicflow import geometry as geo
 from conicflow.marked_sphere import Divisor, classify_stability
@@ -721,6 +722,10 @@ class TestAxisymmetric:
             s1 = one_step(s1, 0.02)
             s2 = one_step(s2, 0.02)
         assert np.abs(np.repeat(s1.u, 64) - s2.u).max() < 1e-8
+        # and so do the verdict's statistics, which drop the pole rows on both
+        stats1, stats2 = diag.curvature_stats(s1, 0.25), diag.curvature_stats(s2, 0.25)
+        for key in ("r_min", "r_max", "sup_dev_half_chi"):
+            assert abs(stats1[key] - stats2[key]) < 1e-8, key
 
     def test_football_terminal_constant_curvature(self):
         d = Divisor([0.3, 0.3], [[0, 0, 1.0], [0, 0, -1.0]])

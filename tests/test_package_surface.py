@@ -35,6 +35,10 @@ to silence, and ``soliton-table`` prints its caveats itself.
 Only ``flow._ImplicitStepper`` trims the C heap: once in ``__init__``, after
 the order probe, and once in ``_factor``, under a guard on
 ``floor_above_target``, so a trim on every step cannot come back unnoticed.
+
+The 1-D and 2-D grids share one code path except in a fixed set of
+definitions, each with its reason, so a new fork on the grid's kind cannot
+come in unnoticed.
 """
 
 import ast
@@ -250,3 +254,47 @@ def test_only_the_stepper_trims_the_heap():
     # the trim before a factorization stops once the floor rule has fired
     assert sorted(sites) == [("flow:_ImplicitStepper.__init__", False),
                              ("flow:_ImplicitStepper._factor", True)]
+
+
+#: the definitions that fork on the grid's kind, each for its reason
+GRID_KIND_FORKS = [
+    "diagnostics:_residual_floor",  # the sampled-profile floor (ROADMAP item 5)
+    "flow:FlowConfig.axisymmetric",  # perfbench builds either grid
+    "flow:_initial_field",  # the bump sits on the axis
+    "flow:run_background",  # perfbench builds either grid
+    "geometry:SphereGrid.ordering",  # COLAMD keeps the 1-D round-off
+    "geometry:_assemble_grid",  # the 1-D grid has no zonal links or diagonals
+]
+
+
+def _is_n_lon(node):
+    return (isinstance(node, ast.Name) and node.id == "n_lon") or (
+        isinstance(node, ast.Attribute) and node.attr == "n_lon")
+
+
+def _grid_kind_tests(tree):
+    """(line) of each comparison of ``n_lon`` against 1 and each read of
+    ``.axisymmetric``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(_is_n_lon(x) for x in operands) and any(
+                    isinstance(x, ast.Constant) and x.value == 1 for x in operands):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "axisymmetric":
+            yield node.lineno
+
+
+def test_grid_kind_forks_are_the_known_ones():
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(f"{cls.name}.{fn.name}", fn.lineno, fn.end_lineno) for cls in tree.body
+                  if isinstance(cls, ast.ClassDef) for fn in cls.body
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        scopes += list(_definitions(tree))
+        for line in _grid_kind_tests(tree):
+            # the innermost definition around the site: a method before its class
+            name = next((name for name, first, last in scopes if first <= line <= last), line)
+            sites.add(f"{path.stem}:{name}")
+    assert sorted(sites) == GRID_KIND_FORKS
