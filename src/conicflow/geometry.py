@@ -42,6 +42,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 
 from .marked_sphere import Divisor
@@ -54,7 +55,8 @@ ROUND_R2 = 1.0 / TWO_PI
 MIN_N_LAT = 16
 MIN_N_LON = 32
 
-#: SuperLU panel width (``panel_size``) of every factor on every grid.
+#: SuperLU panel width (``panel_size``) of every SuperLU factor: the
+#: stepper's on every grid and the grounded one on the 1-D grid.
 #: SuperLU factors a panel of columns at a time and sets up work arrays of
 #: rows x panel for each factorization.  On the 32768-row axis grid, whose
 #: tridiagonal factors gain nothing from panels, a stepper factor takes
@@ -63,8 +65,8 @@ MIN_N_LON = 32
 #: the default's factors bit for bit.  Other widths do not keep that: 1, 2
 #: and 4 move the axis run's round-off, 8 and 16 change the 8192-row
 #: factors, and 32 has crashed ``splu``.  On 2-D grids 5 columns keep the
-#: fill and the back-solve time, and take 7-25% off each factorization at
-#: 64x128 and 128x256.
+#: stepper's fill and back-solve time, and take 7-25% off each of its
+#: factorizations at 64x128 and 128x256.
 PANEL_SIZE = 5
 
 
@@ -111,8 +113,9 @@ class SphereGrid:
     whole by :func:`build_grid` or :func:`build_axis_grid`, which find the
     marked points' nodes and the diameter's source nodes once; a state's
     ``distance_rows`` start from these nodes, and the distance monitors
-    read them by node and never map a point to a node.  The grounded factor
-    of ``L`` is computed on first use.
+    read them by node and never map a point to a node.  The grounded solve's
+    set-up is computed on first use: on the 1-D grid the LU factor of
+    ``L[1:, 1:]``, on a 2-D grid the factor of ``L``'s longitude modes.
     """
 
     n_lat: int
@@ -144,9 +147,10 @@ class SphereGrid:
     def ordering(self) -> str:
         """SuperLU column ordering (``permc_spec``) of every factor on the grid.
 
-        Each factored matrix, ``diag(d) + L`` and the grounded ``L[1:, 1:]``,
-        is symmetric, so 2-D grids take minimum degree on its structure,
-        which cuts the stepper's fill at 64x128 from 605k to 388k.  The 1-D
+        The stepper's ``diag(d) + L`` is factored on every grid, the grounded
+        ``L[1:, 1:]`` only on the 1-D grid (:meth:`ground_solve`).  Both are
+        symmetric, so 2-D grids take minimum degree on the structure, which
+        cuts the stepper's fill at 64x128 from 605k to 388k.  The 1-D
         tridiagonal factors keep COLAMD, because there the ordering moves
         the traced monitors of the shipped 32768-row axis run (seed 0) far
         outside the benchmark's 1e-9 reference gate: minimum degree in the
@@ -169,11 +173,51 @@ class SphereGrid:
         return spla.splu(self.L[1:, 1:].tocsc(), permc_spec=self.ordering,
                          panel_size=PANEL_SIZE)
 
+    @cached_property
+    def _ground_modes(self):
+        """The 2-D grounded solve's set-up: the south conductances s_i of
+        rows 0..n_lat-2, read off ``L``, and the ``dpttrf`` factor of the
+        longitude modes k = 1..n_lon//2 stacked into one tridiagonal.
+
+        ``L`` is metric-free and its south and east conductances depend
+        only on the row, so the mode-k block has diagonal
+        s_{i-1} + s_i + e_i (2 - 2 cos(2 pi k / n_lon)) and off-diagonal
+        -s_i: strictly diagonally dominant, so SPD.  The off-diagonal is 0
+        between blocks."""
+        first = np.arange(self.n_lat) * self.n_lon  # node (i, 0) of each row
+        s = -np.asarray(self.L[first[:-1], first[1:]]).ravel()
+        e = -np.asarray(self.L[first, first + 1]).ravel()
+        k = np.arange(1, self.n_lon // 2 + 1)
+        ring = 2.0 - 2.0 * np.cos(TWO_PI / self.n_lon * k)  # eigenvalues of the row cycle
+        diag = np.append(s, 0.0) + np.append(0.0, s) + ring[:, None] * e
+        off = np.tile(np.append(-s, 0.0), k.size)[:-1]
+        diag, off, _ = lapack.dpttrf(diag.ravel(), off)
+        return s, diag, off
+
     def ground_solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve L x = b (consistent b) with x at node 0 pinned to zero,
-        against one LU of ``L[1:, 1:]`` in the grid's ``ordering``."""
-        x = np.zeros(self.n)
-        x[1:] = self._ground_lu.solve(b[1:])
+        """Solve L x = b (consistent b) with x at node 0 pinned to zero.
+
+        The 1-D grid back-solves one LU of ``L[1:, 1:]`` in its
+        ``ordering``, which keeps the axis run's monitors bit for bit.  A
+        2-D grid takes an FFT in longitude (Hockney 1965): mode 0 is the
+        path-graph problem, whose flux through each face is the cumulative
+        sum of the rows above it, and the other modes are one ``dpttrs``
+        call, the real and imaginary parts as two right-hand sides.  The
+        inverse FFT is then shifted to x[0] = 0."""
+        if self.n_lon == 1:
+            x = np.zeros(self.n)
+            x[1:] = self._ground_lu.solve(b[1:])
+            return x
+        s, diag, off = self._ground_modes
+        bk = np.fft.rfft(b.reshape(self.n_lat, self.n_lon), axis=1)
+        xk = np.empty_like(bk)
+        xk[0, 0] = 0.0
+        xk[1:, 0] = -np.cumsum(np.cumsum(bk[:-1, 0].real) / s)
+        rhs = bk[:, 1:].T.ravel()
+        y, _ = lapack.dpttrs(diag, off, np.stack([rhs.real, rhs.imag], axis=1))
+        xk[:, 1:] = (y[:, 0] + 1j * y[:, 1]).reshape(-1, self.n_lat).T
+        x = np.fft.irfft(xk, n=self.n_lon, axis=1).ravel()
+        x -= x[0]
         return x
 
     def poisson(self, masses: np.ndarray, rhs: np.ndarray) -> np.ndarray:

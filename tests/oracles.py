@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import dijkstra
 
 from conicflow import flow as fl
@@ -56,6 +57,14 @@ def read_trace(path: str) -> dict:
 def nearest_node(grid, point) -> int:
     """The node of ``grid`` nearest ``point``."""
     return _nearest_node(grid.n_lat, grid.n_lon, point)
+
+
+def grounded_solve(grid, b: np.ndarray) -> np.ndarray:
+    """L x = b with x[0] = 0, by one SuperLU factor of ``L[1:, 1:]`` at
+    scipy's default ordering and panel."""
+    x = np.zeros(grid.n)
+    x[1:] = spla.splu(grid.L[1:, 1:].tocsc()).solve(b[1:])
+    return x
 
 
 def node_distances(state: MetricState, node: int) -> np.ndarray:

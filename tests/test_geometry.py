@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import dijkstra
 
 from conicflow import functionals as fn
@@ -18,6 +19,7 @@ from oracles import (
     distances_from,
     edge_graph,
     geodesic_edges,
+    grounded_solve,
     laplacian,
     nearest_node,
     node_distances,
@@ -219,6 +221,30 @@ class TestLaplacian:
         f = rng.standard_normal(round_state.grid.n)
         total = geo.integrate(geo.grad_sq_field(f, round_state), round_state)
         assert total == pytest.approx(geo.dirichlet_energy(f, f, round_state.grid), abs=1e-10)
+
+
+class TestGroundSolve:
+    """A 2-D grid solves the grounded problem by longitude modes: it must
+    match one SuperLU factor of ``L[1:, 1:]`` to round-off."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: geo.build_grid(16, 32),
+        lambda: geo.build_grid(32, 33),  # odd n_lon: no Nyquist mode
+        lambda: geo.build_grid(64, 128),
+        lambda: geo.build_grid(128, 256),
+        lambda: geo.build_grid(32, 64, Divisor([0.3, 0.4], [[0, 0, 1.0], _on_node_32x64()])),
+    ], ids=["16x32", "32x33", "64x128", "128x256", "32x64_nudged"])
+    def test_matches_the_superlu_oracle(self, build):
+        grid = build()
+        # white noise in every mode, weighted by the cell areas and made
+        # consistent as ``poisson`` does
+        b = grid.w * np.random.default_rng(grid.n).standard_normal(grid.n)
+        b -= b.sum() / b.size
+        x = grid.ground_solve(b)
+        want = grounded_solve(grid, b)
+        assert x[0] == 0.0
+        assert np.linalg.norm(x - want) <= 5e-12 * np.linalg.norm(want)
+        assert np.linalg.norm((grid.L @ x - b)[1:]) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestBackground:
@@ -526,22 +552,30 @@ class TestFrozenValues:
                     setattr(obj, f.name, getattr(obj, f.name))
 
     def test_h_and_grounded_factor_computed_once(self, make_state, monkeypatch):
+        # the 1-D grid factors L[1:, 1:], a 2-D grid its longitude modes
         st = make_state()
         calls = []
 
         def splu(*args, **kwargs):
-            calls.append(1)
+            calls.append("splu")
             return spla.splu(*args, **kwargs)
 
+        def dpttrf(*args, **kwargs):
+            calls.append("dpttrf")
+            return lapack.dpttrf(*args, **kwargs)
+
         monkeypatch.setattr(geo, "spla", types.SimpleNamespace(splu=splu))
+        monkeypatch.setattr(geo, "lapack", types.SimpleNamespace(dpttrf=dpttrf,
+                                                                 dpttrs=lapack.dpttrs))
         bg = st.background
+        factor = ["splu" if bg.grid.n_lon == 1 else "dpttrf"]
         h = fn.h_background(bg)
         fn.f_beta(st), fn.ricci_potential(st)
         assert fn.h_background(bg) is h and bg.h is h
-        assert len(calls) == 1
+        assert calls == factor
         other = geo.background_metric(bg.grid, bg.grid.divisor, 2 * bg.eps)
         assert not np.array_equal(other.h, h)
-        assert len(calls) == 1  # the grid's factor serves every background
+        assert calls == factor  # the grid's factor serves every background
 
     def test_graph_matches_the_edge_by_edge_oracle(self, make_state):
         st = make_state()

@@ -262,6 +262,7 @@ GRID_KIND_FORKS = [
     "flow:FlowConfig.axisymmetric",  # perfbench builds either grid
     "flow:_initial_field",  # the bump sits on the axis
     "flow:run_background",  # perfbench builds either grid
+    "geometry:SphereGrid.ground_solve",  # the 1-D LU keeps the axis round-off
     "geometry:SphereGrid.ordering",  # COLAMD keeps the 1-D round-off
     "geometry:_assemble_grid",  # the 1-D grid has no zonal links or diagonals
 ]
