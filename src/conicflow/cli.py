@@ -219,6 +219,7 @@ def execute_run(config: fl.FlowConfig, out_dir: str, config_hash: str = "") -> d
         "outputs": outputs,
         "nudges": [[int(i), float(o)] for i, o in state.grid.nudges],
         "solver": trace.solver,
+        "monitors": trace.monitors,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2)

@@ -364,7 +364,8 @@ def renormalize(state: geo.MetricState):
 @dataclass
 class FlowTrace:
     """The sampled monitors of a run, its status and its last state, with
-    the snapshots taken on the way and the stepper's counters."""
+    the snapshots taken on the way, the stepper's counters and the count
+    of samples and of the distance rows they made."""
 
     times: np.ndarray
     columns: dict
@@ -372,6 +373,7 @@ class FlowTrace:
     final_state: geo.MetricState = field(default=None, repr=False)
     snapshots: list = field(default_factory=list, repr=False)  # (t, u) pairs
     solver: dict = field(default_factory=dict)
+    monitors: dict = field(default_factory=dict)
 
     def __getitem__(self, name):
         return self.columns[name]
@@ -390,7 +392,9 @@ def _sample_record(state, chow_s, drift):
     and with ``drift`` the last renormalization constant.  The Ricci
     potential v is solved here, once, for the entropy and the residual."""
     # every distance monitor of this sample, and the verdict on the run's
-    # final state, read the state's one geodesic pass (``distance_rows``)
+    # final state, read the state's one geodesic pass (``distance_rows``):
+    # the marked rows always, and an axis row only when its triangle bound
+    # cannot rule it out of the diameter
     grid = state.grid
     v = fn.ricci_potential(state)
     R, r_cone = state.scalar_curvature, state.conical_curvature
@@ -471,12 +475,15 @@ def _run_loop(config: FlowConfig, bg: geo.BackgroundMetric) -> FlowTrace:
     drift_last = 0.0
     calm = 0
     implicit = _ImplicitStepper(bg)
+    monitors = {"samples": 0, "distance_rows": 0}
 
     def record():
         """Append one sample; a non-finite monitor ends the run after it."""
         s = fn.chow_shift(s0, state.t, half_chi)
         rows.append(_sample_record(state, s, drift_last))
         times.append(state.t)
+        monitors["samples"] += 1
+        monitors["distance_rows"] += len(state.distance_rows)
         bad = next((k for k, x in rows[-1].items() if not math.isfinite(x)), None)
         if bad is not None:
             raise FlowError(f"non-finite monitor {bad} at t = {state.t:g}")
@@ -507,7 +514,8 @@ def _run_loop(config: FlowConfig, bg: geo.BackgroundMetric) -> FlowTrace:
         status = f"failed: {type(exc).__name__}: {exc}"
 
     columns = {k: np.array([r[k] for r in rows]) for k in (rows[0] if rows else ())}
-    return FlowTrace(np.array(times), columns, status, state, snapshots, implicit.counters())
+    return FlowTrace(np.array(times), columns, status, state, snapshots, implicit.counters(),
+                     monitors)
 
 
 def run(config: FlowConfig) -> FlowTrace:

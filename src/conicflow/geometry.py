@@ -27,9 +27,11 @@ parts to zero against the stencil.
 A :class:`MetricState` is an immutable value: its conformal factor is
 read-only, and its mass, its two curvature fields (``scalar_curvature``
 and ``conical_curvature``) and its geodesic ``distance_rows`` are computed
-once, on first use, however many monitors read them.  Grids and
-backgrounds are immutable values too, built whole; their derived fields
-are computed once, on first use.
+once, on first use, however many monitors read them.  The rows start from
+the marked nodes always, and from an axis node only when a triangle bound
+cannot rule its row out of the diameter.  Grids and backgrounds are
+immutable values too, built whole; their derived fields are computed once,
+on first use.
 """
 
 from __future__ import annotations
@@ -112,10 +114,12 @@ class SphereGrid:
     conformal metric on the grid.  A grid is an immutable value, built
     whole by :func:`build_grid` or :func:`build_axis_grid`, which find the
     marked points' nodes and the diameter's source nodes once; a state's
-    ``distance_rows`` start from these nodes, and the distance monitors
-    read them by node and never map a point to a node.  The grounded solve's
-    set-up is computed on first use: on the 1-D grid the LU factor of
-    ``L[1:, 1:]``, on a 2-D grid the factor of ``L``'s longitude modes.
+    ``distance_rows`` start from the marked nodes always and from an axis
+    node only when a triangle bound cannot rule its row out of the
+    diameter, and the distance monitors read them by node and never map a
+    point to a node.  The grounded solve's set-up is computed on first use:
+    on the 1-D grid the LU factor of ``L[1:, 1:]``, on a 2-D grid the
+    factor of ``L``'s longitude modes.
     """
 
     n_lat: int
@@ -133,7 +137,9 @@ class SphereGrid:
     marked_points: np.ndarray  # possibly nudged copies of the positions
     nudges: tuple  # (index, offset) of each nudged marked point
     marked_nodes: list  # nearest node of each marked point, in order
-    diameter_nodes: list  # sources of every state's distance rows
+    # sources of a state's distance rows: the marked nodes always, an axis
+    # node when the triangle bound cannot rule its row out of the diameter
+    diameter_nodes: list
 
     @property
     def n(self) -> int:
@@ -240,7 +246,7 @@ def _nearest_node(n_lat: int, n_lon: int, point) -> int:
     return i * n_lon + j
 
 
-#: the six coordinate-axis points, sources of :func:`diameter_estimate`
+#: the six coordinate-axis points, candidate sources of :func:`diameter_estimate`
 AXIS_POINTS = ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1])
 
 
@@ -531,22 +537,48 @@ class MetricState:
 
     @cached_property
     def distance_rows(self) -> dict:
-        """Graph geodesic distances from each of the grid's
-        ``diameter_nodes`` (the axis nodes and the marked nodes) to all
-        nodes, keyed by node.
+        """Graph geodesic distances to all nodes from the grid's marked
+        nodes, always, and from each other of its ``diameter_nodes`` (the
+        axis nodes) whose row could raise the diameter, keyed by node in
+        ``diameter_nodes`` order.
 
         8-neighbor Dijkstra with edge lengths scaled by e^(u/2); an upper
         bound on the true distance and exactly a metric.  It converges at
         first order only on the 1-D grid, where a row sums edge lengths
         along the meridian; in 2-D the 8-neighbor stencil keeps a
         direction-dependent excess (up to ~8% on the round sphere) that
-        refinement does not remove.  One multi-source pass on one edge
-        graph makes every row, and each row equals its single-source run
-        exactly.  This is the state's only distance pass.
+        refinement does not remove.  Every row comes from one edge graph
+        and equals its single-source run exactly.  This is the state's only
+        distance pass.
+
+        One multi-source pass makes the marked rows (a grid with no marked
+        point starts from its first diameter node).  Each remaining source
+        s then has the triangle bound B(s) = max_v min_w (d(w, s) + d(w, v))
+        over the rows made so far (Takes and Kosters 2011).  A source is
+        skipped when B(s) (1 + 1e-10) is at most the finite maximum of those
+        rows, and otherwise the one with the largest bound is run next.  A
+        Dijkstra value is the rounded sum along a path of at most N edges,
+        so a skipped row lies within ~3 N u relative of its bound, which the
+        margin covers up to N ~ 1e5: a skipped row cannot raise the
+        maximum.  An infinite or NaN bound never certifies a skip.
         """
-        nodes = self.grid.diameter_nodes
-        d = _csgraph_dijkstra(_edge_graph(self), directed=False, indices=nodes)
-        return {s: d[i, : self.grid.n] for i, s in enumerate(nodes)}
+        grid = self.grid
+        graph = _edge_graph(self)
+        batch = grid.marked_nodes or grid.diameter_nodes[:1]
+        bound = {s: np.inf for s in grid.diameter_nodes if s not in batch}
+        rows, top = {}, -np.inf
+        while batch:
+            d = _csgraph_dijkstra(graph, directed=False, indices=batch)
+            for w, row in zip(batch, d[:, : grid.n]):
+                rows[w] = row
+                top = max(top, float(row[np.isfinite(row)].max()))
+                for s in bound:
+                    bound[s] = np.minimum(bound[s], row[s] + row)
+            peak = {s: float(b.max()) for s, b in bound.items()}
+            live = [s for s in bound if not peak[s] * (1.0 + 1e-10) <= top]
+            batch = [max(live, key=peak.get)] if live else []
+            bound = {s: bound[s] for s in live if s not in batch}
+        return {s: rows[s] for s in grid.diameter_nodes if s in rows}
 
     def far_from_marks(self, radius: float) -> np.ndarray:
         """A new boolean array: the nodes farther than ``radius`` from every
@@ -621,8 +653,9 @@ def ball_volume(state: MetricState, dist: np.ndarray, r: float) -> float:
 
 
 def diameter_estimate(state: MetricState) -> float:
-    """Max graph distance over the state's ``distance_rows``, from the
-    marked points and the coordinate axes; a diagnostic, not a certified
+    """Max finite graph distance over the state's ``distance_rows``, which
+    equals the max over rows from every marked point and coordinate axis
+    (a skipped row cannot raise it); a diagnostic, not a certified
     diameter."""
     return max(float(d[np.isfinite(d)].max()) for d in state.distance_rows.values())
 

@@ -173,6 +173,10 @@ class TestRun:
         assert manifest["config_hash"]
         assert manifest["unit_constants"]["round_area"] == 2.0
         assert manifest["unit_constants"]["laplacian_scale"] == pytest.approx(1.0 / (4 * math.pi))
+        # the samples in the trace, and the distance rows they made
+        monitors = manifest["monitors"]
+        assert monitors["samples"] == len(read_trace(str(out_dir / "trace.csv"))["time"])
+        assert 3 * monitors["samples"] <= monitors["distance_rows"] <= 8 * monitors["samples"]
 
     @pytest.mark.parametrize("fault", ["nan", "raise"])
     def test_non_finite_monitor_fails_run(self, capsys, tmp_path, monkeypatch, fault):

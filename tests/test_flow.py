@@ -297,6 +297,20 @@ class TestRun:
         for name in tr.columns:
             assert np.array_equal(cols[name], tr[name])
 
+    def test_monitors_count_samples_and_distance_rows(self, monkeypatch):
+        states, real = [], fl._sample_record
+
+        def sample_record(state, *args):
+            states.append(state)
+            return real(state, *args)
+
+        monkeypatch.setattr(fl, "_sample_record", sample_record)
+        trace = fl.run(small_config(initial="bump", seed=4, t_max=0.4))
+        assert len(states) == len(trace.times) == 3
+        rows = sum(len(st.distance_rows) for st in states)
+        assert trace.monitors == {"samples": 3, "distance_rows": rows}
+        assert 3 * len(states[0].grid.marked_nodes) <= rows < 3 * len(states[0].grid.diameter_nodes)
+
     def test_snapshots_recorded(self):
         tr = fl.run(small_config(snapshot_every=0.5, t_max=1.0))
         snaps = tr.snapshots
@@ -627,8 +641,9 @@ class TestOrdering:
 
 class TestSharedGeodesicPass:
     """A state makes one distance pass, however many monitors, verdicts and
-    reports read it, and the monitors read the grid's nodes as it found them
-    at build time: no point-to-node lookup."""
+    reports read it: one edge graph, one Dijkstra call for the marked rows
+    and one for each axis row the bound keeps.  The monitors read the
+    grid's nodes as it found them at build time: no point-to-node lookup."""
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -654,13 +669,20 @@ class TestSharedGeodesicPass:
         bg = geo.background_metric(grid, cfg.divisor, cfg.eps)
         return geo.make_state(bg, fl._initial_field(cfg, bg))
 
+    @staticmethod
+    def one_pass(state):
+        """The counts of one distance pass on ``state``: its edge graphs
+        and Dijkstra calls, and no point-to-node lookup."""
+        rows = len(state.distance_rows) - len(state.grid.marked_nodes)
+        return {"edge_graph": 1, "dijkstra": 1 + rows, "nearest_node": 0}
+
     def test_one_pass_per_sample_record(self, counts):
         cfg = small_config(initial="bump", seed=4)
         state = self.bumped_state(cfg)
         chow_s = min(0.0, float(state.conical_curvature.min())) - 0.05
         counts["nearest_node"] = 0  # the grid's own lookups at build time
         rec = fl._sample_record(state, chow_s, 0.0)
-        assert counts == {"edge_graph": 1, "dijkstra": 1, "nearest_node": 0}
+        assert counts == self.one_pass(state)
         assert {"d_p1_p2", "ball_ratio_p3", "diameter", "soliton_residual"} <= set(rec)
 
     def test_one_pass_per_detect_convergence(self, counts):
@@ -670,7 +692,7 @@ class TestSharedGeodesicPass:
         state = self.bumped_state(cfg)
         counts["nearest_node"] = 0  # the grid's own lookups at build time
         diag.detect_convergence(state)
-        assert counts == {"edge_graph": 1, "dijkstra": 1, "nearest_node": 0}
+        assert counts == self.one_pass(state)
 
     def test_verdict_reuses_the_sample_pass(self, counts):
         from conicflow import diagnostics as diag
@@ -680,13 +702,16 @@ class TestSharedGeodesicPass:
         chow_s = min(0.0, float(state.conical_curvature.min())) - 0.05
         fl._sample_record(state, chow_s, 0.0)
         diag.detect_convergence(state)
-        assert (counts["edge_graph"], counts["dijkstra"]) == (1, 1)
+        want = self.one_pass(state)
+        assert (counts["edge_graph"], counts["dijkstra"]) == (want["edge_graph"], want["dijkstra"])
 
     def test_one_pass_per_report(self, counts, tmp_path):
         cli.execute_run(small_config(initial="bump", seed=4, t_max=0.2), str(tmp_path))
         counts.update(edge_graph=0, dijkstra=0)
         assert cli.main(["report", str(tmp_path)]) in (cli.EXIT_OK, cli.EXIT_UNDECIDED)
-        assert (counts["edge_graph"], counts["dijkstra"]) == (1, 1)
+        made = (counts["edge_graph"], counts["dijkstra"])
+        want = self.one_pass(cli._read_run(str(tmp_path))[0])
+        assert made == (want["edge_graph"], want["dijkstra"])
 
 
 class TestAxisymmetric:

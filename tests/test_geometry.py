@@ -10,6 +10,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import dijkstra
 
+from conftest import shipped_config
+from conicflow import flow as fl
 from conicflow import functionals as fn
 from conicflow import geometry as geo
 from conicflow.marked_sphere import Divisor
@@ -498,9 +500,10 @@ class TestStateContract:
 
 @pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])
 class TestSharedRows:
-    """A state's distance rows start from the grid's diameter nodes, each
-    row is a one-source Dijkstra pass on the edge-by-edge graph oracle, and
-    the distance monitors read them by node."""
+    """A state's distance rows start from the marked nodes and from the
+    diameter nodes that could raise the diameter, each row is a one-source
+    Dijkstra pass on the edge-by-edge graph oracle, and the distance
+    monitors read them by node."""
 
     @staticmethod
     def one_source_rows(st, nodes):
@@ -509,8 +512,10 @@ class TestSharedRows:
 
     def test_rows_equal_one_source_rows(self, make_state):
         st = make_state()
-        assert list(st.distance_rows) == st.grid.diameter_nodes
-        one = self.one_source_rows(st, st.grid.diameter_nodes)
+        grid = st.grid
+        assert set(grid.marked_nodes) <= set(st.distance_rows) <= set(grid.diameter_nodes)
+        assert list(st.distance_rows) == [s for s in grid.diameter_nodes if s in st.distance_rows]
+        one = self.one_source_rows(st, grid.diameter_nodes)
         for s, row in st.distance_rows.items():
             assert np.array_equal(row, one[s])
 
@@ -537,6 +542,88 @@ class TestSharedRows:
         assert np.array_equal(mask, want) and 0 < mask.sum() < st.grid.n
         mask[:] = False  # the caller's to edit: the next call is unchanged
         assert np.array_equal(st.far_from_marks(0.3), want)
+
+
+def _unmarked_state():
+    grid = geo.build_grid(32, 64)
+    u = 0.3 * np.random.default_rng(3).standard_normal(grid.n)
+    return geo.make_state(geo.background_metric(grid, grid.divisor, 0.1), u)
+
+
+def _axis_row_max_state():
+    """Two marked points near the north pole and two bumps at the ends of
+    the x axis: the x-axis rows reach 1.40, every other row at most 1.34."""
+    div = Divisor([0.4, 0.4], [[0.0, 0.3, 0.95], [0.0, -0.3, 0.95]])
+    grid = geo.build_grid(32, 64, div)
+    x = grid.positions()[:, 0]
+    u = 1.5 * (np.exp(-8.0 * (1.0 - x)) + np.exp(-8.0 * (1.0 + x)))
+    return geo.make_state(geo.background_metric(grid, div, 0.2), u)
+
+
+def _unreachable_node_state():
+    """The axis-maximum state with u = inf at one node: every row is
+    infinite there, so no bound is finite."""
+    st = _axis_row_max_state()
+    u = st.u.copy()
+    u[100] = np.inf
+    return geo.make_state(st.background, u)
+
+
+class TestDiameterRows:
+    """``distance_rows`` skips an axis row only when a triangle bound proves
+    it cannot raise the diameter, so ``diameter_estimate`` equals the finite
+    maximum over one-source rows from every diameter node."""
+
+    @pytest.mark.parametrize("make_state", [
+        _bumped_three_point_state, _bumped_axis_state, _unmarked_state,
+        _axis_row_max_state, _unreachable_node_state,
+    ])
+    def test_diameter_equals_the_all_rows_maximum(self, make_state):
+        st = make_state()
+        grid = st.grid
+        one = {s: node_distances(st, s) for s in grid.diameter_nodes}
+        assert set(grid.marked_nodes) <= set(st.distance_rows) <= set(one)
+        for s, row in st.distance_rows.items():
+            assert np.array_equal(row, one[s])
+        want = max(float(d[np.isfinite(d)].max()) for d in one.values())
+        assert geo.diameter_estimate(st) == want
+
+    def test_an_axis_row_holding_the_maximum_is_kept(self):
+        st = _axis_row_max_state()
+        marked = st.grid.marked_nodes
+        peak = {s: float(d.max()) for s, d in st.distance_rows.items()}
+        assert max(peak[s] for s in marked) < geo.diameter_estimate(st)
+        assert max(peak, key=peak.get) not in marked
+        assert len(peak) < len(st.grid.diameter_nodes)  # and the bound still skips
+
+    def test_unmarked_grid_starts_from_its_first_diameter_node(self):
+        st = _unmarked_state()
+        assert st.grid.marked_nodes == []
+        assert st.grid.diameter_nodes[0] in st.distance_rows
+
+    @pytest.mark.parametrize("build", [lambda: geo.build_grid(16, 32),
+                                       lambda: geo.build_axis_grid(64)],
+                             ids=["round_16x32", "round_axis_64"])
+    def test_bound_tied_with_the_maximum_keeps_its_row(self, build):
+        # on the round sphere the last row's bound equals the maximum in
+        # exact arithmetic; its rounding must not skip the row
+        grid = build()
+        st = geo.make_state(geo.background_metric(grid, grid.divisor, 0.1))
+        assert list(st.distance_rows) == grid.diameter_nodes
+
+    def test_infinite_bound_skips_nothing(self):
+        st = _unreachable_node_state()
+        assert list(st.distance_rows) == st.grid.diameter_nodes
+        assert all(np.isinf(d[100]) for d in st.distance_rows.values())
+
+    @pytest.mark.parametrize("name, most", [("semistable", 5), ("unstable", 4)])
+    def test_shipped_bump_states_skip_axis_rows(self, name, most):
+        # the benchmark's seed-0 start states at 64x128 keep 5 and 4 of 8
+        cfg = shipped_config(name, initial="bump", seed=0)
+        bg = fl.run_background(cfg)
+        st, _ = fl.renormalize(geo.make_state(bg, fl._initial_field(cfg, bg)))
+        assert (cfg.n_lat, cfg.n_lon, len(st.grid.diameter_nodes)) == (64, 128, 8)
+        assert len(st.distance_rows) <= most
 
 
 @pytest.mark.parametrize("make_state", [_bumped_three_point_state, _bumped_axis_state])

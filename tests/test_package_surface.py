@@ -10,8 +10,9 @@ string); an import alone does not count, so re-exporting a name from
 in ``tests/oracles.py``.
 
 Only ``geometry.py`` names the Dijkstra solver and the edge-graph builder,
-and it calls each once, so a state's ``distance_rows`` stay its only
-distance pass.
+and it has one call site of each, so a state's ``distance_rows`` stay its
+only distance pass: one edge graph, the marked rows always, and an axis
+row only when the triangle bound cannot rule it out of the diameter.
 
 Only ``soliton.soliton_profile`` calls ``solve_c``, so cone weights reach
 c by one route, and every soliton is the ``SolitonSpec`` it returns.
