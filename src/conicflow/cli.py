@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import csv
 import hashlib
 import itertools
 import json
@@ -334,10 +335,11 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_one(j) for j in jobs]
     agg = os.path.join(out_root, "aggregate.csv")
     cols = sorted({k for r in rows for k in r})
-    with open(agg, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in rows:
-            fh.write(",".join(str(r.get(c, "")) for c in cols) + "\n")
+    with open(agg, "w", newline="") as fh:
+        # a status can hold a comma; the writer quotes it
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(cols)
+        writer.writerows([str(r.get(c, "")) for c in cols] for r in rows)
     print(f"{len(rows)} runs; aggregate written to {agg}")
     bad = [r for r in rows if str(r["status"]).startswith(("error", "failed"))]
     return EXIT_NUMERICAL if len(bad) == len(rows) else EXIT_OK

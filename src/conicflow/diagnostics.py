@@ -35,17 +35,18 @@ RESIDUAL_FACTOR = 3.0  # vs _residual_floor, clamped to 1e-12
 PROFILE_MARGIN = 0.15  # cumulative-area margin cut at both cone ends
 PROFILE_TOL = 0.2
 
+#: geodesic radius of :func:`volume_ratio`'s ball (the ``ball_ratio_p<i>``
+#: monitors)
+BALL_RADIUS = 0.2
+
 
 def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict | None:
     """Curvature extremes over the sphere minus delta-balls at marked points
     and minus the two pole rows, or None when these cover every node.
 
-    ``delta_exclusion`` must stay outside the smoothed cone cores
-    (at least 2 eps).
+    ``delta_exclusion`` stays outside the smoothed cone cores: the verdict
+    takes at least 2 eps.
     """
-    eps = state.background.eps
-    if delta_exclusion < 2.0 * eps:
-        raise ValueError(f"delta_exclusion must be >= 2 eps = {2 * eps}")
     mask = state.far_from_marks(delta_exclusion)
     # the pole closure is not consistent: on the pole rows the error of
     # Lap Y = -Y stays ~0.09 for cos(theta) and grows like 1/h for
@@ -75,15 +76,13 @@ def curvature_stats(state: geo.MetricState, delta_exclusion: float) -> dict | No
     }
 
 
-def marked_point_clusters(state: geo.MetricState, tol: float):
+def marked_point_clusters(state: geo.MetricState):
     """Single-linkage clustering of the marked points under the geodesic
     distance: the connected components of the graph joining two points
-    closer than ``tol``.  Returns (clusters as sorted index lists, ordered
-    by their first index; the distance matrix)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    closer than CLUSTER_TOL.  Returns (clusters as sorted index lists,
+    ordered by their first index; the distance matrix)."""
     dmat = geo.pairwise_marked_distances(state)
-    _, labels = connected_components(dmat < tol, directed=False)
+    _, labels = connected_components(dmat < CLUSTER_TOL, directed=False)
     groups = {}  # filled in index order, so each list and their order are sorted
     for i, label in enumerate(labels):
         groups.setdefault(label, []).append(i)
@@ -94,26 +93,20 @@ def model_cap_area(r: float, curvature: float) -> float:
     """Area of the r-ball in the constant-curvature model, calibrated units.
 
     For curvature H > 0 the model sphere has Gauss curvature 2 pi H, hence
-    cap area (1 - cos(r sqrt(2 pi H))) / H, saturating at the full area 2/H;
-    H = 0 gives the flat pi r^2.
+    cap area (1 - cos(r sqrt(2 pi H))) / H while r sqrt(2 pi H) < pi.  Every
+    weight is below 1, so H = 1 - beta_max > 0, and BALL_RADIUS sqrt(2 pi)
+    ~ 0.50 keeps the cap short of the antipode.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if curvature <= 0:
-        return math.pi * r * r
-    arg = r * math.sqrt(2.0 * math.pi * curvature)
-    if arg >= math.pi:
-        return 2.0 / curvature
-    return (1.0 - math.cos(arg)) / curvature
+    return (1.0 - math.cos(r * math.sqrt(2.0 * math.pi * curvature))) / curvature
 
 
-def volume_ratio(state: geo.MetricState, dist: np.ndarray, r: float) -> float:
-    """ball_volume / model cap area at constant curvature 1 - beta_max, for
-    the ball about the node whose distance row is ``dist``."""
-    if r <= 0:
-        raise ValueError("radius must be positive")
+def volume_ratio(state: geo.MetricState, dist: np.ndarray) -> float:
+    """dg-area of the geodesic BALL_RADIUS-ball about the node whose distance
+    row is ``dist``, over the model cap area at constant curvature
+    1 - beta_max."""
     bmax = state.background.beta_max()
-    return geo.ball_volume(state, dist, r) / model_cap_area(r, 1.0 - bmax)
+    ball = float(np.sum(state.mass[dist <= BALL_RADIUS]))
+    return ball / model_cap_area(BALL_RADIUS, 1.0 - bmax)
 
 
 # ----------------------------------------------------------------------
@@ -141,24 +134,19 @@ def curvature_area_curve(state: geo.MetricState, dist: np.ndarray):
     return centers, means
 
 
-def compare_to_profile(
-    state: geo.MetricState, profile: sol.SolitonSpec, margin: float
-) -> float | None:
+def compare_to_profile(state: geo.MetricState, profile: sol.SolitonSpec) -> float | None:
     """RMS mismatch between the state's curvature-vs-area curve and the
     profile's, measured from the deepest cone point; None when no bin of
-    the curve lies inside the margins.
+    the curve lies inside the PROFILE_MARGIN margins.
 
     Parametrization-free (hence invariant under rotation about the cluster
     axis and under the soliton gauge drift); the cumulative-area margins at
     both ends exclude the smoothed cone cores, whose curvature spikes would
     otherwise dominate the norm.
     """
-    nodes = state.grid.marked_nodes
-    if not nodes:
-        raise ValueError("profile comparison needs marked points")
     # weights sorted: deepest cone last
-    a, r_state = curvature_area_curve(state, state.distance_rows[nodes[-1]])
-    keep = (a >= margin) & (a <= 2.0 - margin) & np.isfinite(r_state)
+    a, r_state = curvature_area_curve(state, state.distance_rows[state.grid.marked_nodes[-1]])
+    keep = (a >= PROFILE_MARGIN) & (a <= 2.0 - PROFILE_MARGIN) & np.isfinite(r_state)
     if not keep.any():
         return None
     r_prof = profile.curvature_of_area(a[keep])
@@ -292,7 +280,7 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
     bg, divisor = final_state.background, final_state.grid.divisor
     delta = max(DELTA_EXCLUSION, 2.0 * bg.eps)
     stats = curvature_stats(final_state, delta)
-    clusters, dmat = marked_point_clusters(final_state, CLUSTER_TOL)
+    clusters, dmat = marked_point_clusters(final_state)
     dclass = classify_stability(divisor) if divisor.k else StabilityClass.STABLE
     residuals = {} if stats is None else {"sup_dev_half_chi": stats["sup_dev_half_chi"]}
     caveats = {
@@ -329,7 +317,7 @@ def detect_convergence(final_state: geo.MetricState, status: str = "unknown") ->
         resid = fn.soliton_residual(final_state, v)
         residuals["soliton_residual"] = resid
         if len(clusters) == 2:
-            fits = [(compare_to_profile(final_state, spec, PROFILE_MARGIN), spec)
+            fits = [(compare_to_profile(final_state, spec), spec)
                     for spec in (sol.soliton_profile(ld.beta_p, ld.beta_q, ld.partition)
                                  for ld in enumerate_partitions(divisor) if ld.valid)]
             if fits and fits[0][0] is None:  # the state's curve: the same for every spec

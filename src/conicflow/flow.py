@@ -15,8 +15,7 @@ the matrix's pattern, so the stepper computes the grid's column ordering
 in natural order, with SuperLU's 5-column panel (``geometry.PANEL_SIZE``).
 Where refinement stalls even against a fresh factor (the residual floor
 cond(A) u lies above the target, as on the 32768-row axis grid), each later
-step refactors and refines once instead, and the stepper stops trimming the
-C heap before each factorization.
+step refactors and refines once instead.
 
 After every step the area is restored to 2 by an additive constant and the
 constant is recorded in the trace: at eps > 0 the smoothed cone mass makes
@@ -57,9 +56,6 @@ BUMP_AMPLITUDE = 0.3
 #: quiet samples in a row stop the run
 STOP_REL = 2e-4
 STOP_CONSECUTIVE = 10
-
-#: geodesic radius of the ``ball_ratio_p<i>`` monitors
-BALL_RADIUS = 0.2
 
 
 @dataclass
@@ -232,9 +228,10 @@ class _ImplicitStepper:
     stalls against a factor built in the same call, that floor lies above
     the 1e-12 target, and the stepper keeps that knowledge for the rest of
     the run: every later solve refactors at once and refines once, which
-    is what the stall fallback would do after wasting its sweeps.  From
-    then on it no longer trims the C heap before a factorization: each new
-    factor reuses the pages of the one just dropped.
+    is what the stall fallback would do after wasting its sweeps.
+
+    The C heap is trimmed once, after the order probe; each factorization
+    drops the old factor before it builds the next.
 
     The stepper counts its factorizations, those made after refinement
     stalled, and its back-solves, and keeps the worst relative residual of
@@ -272,16 +269,8 @@ class _ImplicitStepper:
 
     def _factor(self, d):
         self.A.data[self._diag] = self._L_diag + d[self.perm]
-        # the old factor goes before the next is built, so two never coexist.
-        # While factorizations are rare (every 2-D run, and 1-D runs whose
-        # refinement converges) the heap is trimmed too, which holds the 2-D
-        # peak RSS ~2.3 MB lower.  Once every step refactors, a trim only
-        # hands back the dropped factor's pages for the next factor to fault
-        # in again: on the 32768-row axis grid that cost ~4 of the ~12 ms a
-        # factorization took, and the peak RSS holds at ~87 MB without it.
+        # the old factor goes before the next is built, so two never coexist
         self.lu = None
-        if _malloc_trim is not None and not self.floor_above_target:
-            _malloc_trim(0)
         self.lu = spla.splu(self.A, permc_spec="NATURAL", panel_size=geo.PANEL_SIZE)
         self.factorizations += 1
 
@@ -418,8 +407,7 @@ def _sample_record(state, chow_s, drift):
         for j in range(i + 1, k):
             rec[f"d_p{i + 1}_p{j + 1}"] = dmat[i, j]
     for i, node in enumerate(grid.marked_nodes):
-        rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(
-            state, state.distance_rows[node], BALL_RADIUS)
+        rec[f"ball_ratio_p{i + 1}"] = diag.volume_ratio(state, state.distance_rows[node])
     rec["diameter"] = geo.diameter_estimate(state)
     return rec
 

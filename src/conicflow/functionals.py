@@ -107,8 +107,6 @@ def chow_shift(s0: float, t: float, half_chi: float) -> float:
 
     Requires chi != 0, which :class:`~conicflow.flow.FlowConfig` guarantees."""
     r = half_chi
-    if t < 0:
-        raise ValueError("t must be nonnegative")
     if s0 == 0.0:
         return 0.0
     den = s0 + (r - s0) * math.exp(min(r * t, 700.0))

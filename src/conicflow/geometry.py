@@ -642,16 +642,6 @@ def pairwise_marked_distances(state: MetricState) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def ball_volume(state: MetricState, dist: np.ndarray, r: float) -> float:
-    """dg-area of the geodesic ball of radius r about the node whose
-    distance row is ``dist``."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if r == 0.0:
-        return 0.0
-    return float(np.sum(state.mass[dist <= r]))
-
-
 def diameter_estimate(state: MetricState) -> float:
     """Max finite graph distance over the state's ``distance_rows``, which
     equals the max over rows from every marked point and coordinate axis

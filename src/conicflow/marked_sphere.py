@@ -62,7 +62,10 @@ class Divisor:
         if positions is None:
             pos = _equator_positions(k)
         else:
-            pos = np.asarray(positions, dtype=float).reshape(k, 3)
+            try:
+                pos = np.asarray(positions, dtype=float).reshape(k, 3)
+            except TypeError as exc:  # e.g. a JSON object
+                raise ValueError(f"positions must be {k} coordinate triples: {exc}") from exc
             if not np.all(np.isfinite(pos)):
                 raise ValueError("non-finite position coordinate")
             norms = np.linalg.norm(pos, axis=1)

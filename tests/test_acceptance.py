@@ -292,7 +292,7 @@ def test_criterion_8_partition_under_entropy_condition(shipped_results):
     table = sol.mu_table(shipped_divisor("unstable"))
     assert table.threshold is not None
     if mu0.value > table.threshold:
-        clusters, _ = diag.marked_point_clusters(state, 0.1)
+        clusters, _ = diag.marked_point_clusters(state)
         assert clusters == [[0, 1], [2]]
         ok(8, f"mu_est(g0) = {mu0.value:.3f} > mu2 = {table.threshold:.3f}; partition {{3}} observed")
     else:  # pragma: no cover - condition held in all observed runs
@@ -349,8 +349,8 @@ def test_criterion_8_eps_halving_shrinks_gap(unstable_eps_sweep):
 
 def test_criterion_9_axisymmetric_profile_match(soliton_axis_result):
     state = soliton_axis_result["trace"].final_state
-    right = diag.compare_to_profile(state, sol.soliton_profile(0.8, 0.3), margin=0.15)
-    wrong = diag.compare_to_profile(state, sol.soliton_profile(0.9, 0.2), margin=0.15)
+    right = diag.compare_to_profile(state, sol.soliton_profile(0.8, 0.3))
+    wrong = diag.compare_to_profile(state, sol.soliton_profile(0.9, 0.2))
     assert right < 1e-2
     assert wrong >= 3.0 * right
     ok(9, f"L2 residual {right:.2e} vs {wrong:.2e} (factor {wrong / right:.1f})")

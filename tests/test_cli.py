@@ -133,7 +133,8 @@ class TestBadDivisorFile:
         ('{"weights": ["1/0", "1/2"]}', "bad weight"),
         ('{"weights": [null, 0.5]}', "bad weight"),
         ('{"weights": [0.3, 0.4], "positions": [[null, 0, 1], [1, 0, 0]]}', "non-finite"),
-    ], ids=["zero_denominator", "null_weight", "null_position"])
+        ('{"weights": [0.5, 0.3], "positions": {"a": 1}}', "coordinate triples"),
+    ], ids=["zero_denominator", "null_weight", "null_position", "positions_not_triples"])
     @pytest.mark.parametrize("command", ["classify", "soliton-table", "run"])
     def test_usage_error(self, capsys, tmp_path, command, text, msg):
         cfg = tiny_config(tmp_path, shipped_divisor("stable"))
@@ -143,6 +144,7 @@ class TestBadDivisorFile:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error:") and msg in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("command, text, msg", [
         ("soliton-table", json.dumps(shipped_divisor("stable").to_dict()), "no valid partitions"),
@@ -449,6 +451,36 @@ class TestSweep:
             assert int(row["factorizations"]) == solver["factorizations"]
             assert int(row["backsolves"]) == solver["backsolves"]
             assert int(row["stall_refactorizations"]) == solver["stall_refactorizations"]
+
+    def test_status_with_a_comma_stays_one_field(self, capsys, tmp_path, monkeypatch):
+        # the run fails after its first sample, with a status that holds a
+        # comma; its row still reads back under the header's columns
+        from conicflow import functionals as fn
+
+        real = fn.hamilton_entropy
+        calls = []
+
+        def hamilton_entropy(*args):
+            calls.append(args)
+            if len(calls) < 2:
+                return real(*args)
+            raise ValueError("R - s is not positive (node 5, value -1.000e-03)")
+
+        monkeypatch.setattr(fn, "hamilton_entropy", hamilton_entropy)
+        tiny_config(tmp_path, shipped_divisor("stable"), t_max=0.2)
+        sweep = tmp_path / "sweep.cfg"
+        sweep.write_text("config = run.cfg\nsweep_epsilon = 0.1\n")
+        out = tmp_path / "sw"
+        code, _, _ = run_cli(capsys, "sweep", "--config", str(sweep), "--out", str(out))
+        assert code == 2
+        with open(out / "aggregate.csv", newline="") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            fh.seek(0)
+            [row] = list(csv.DictReader(fh))
+        assert list(row) == header and all(v is not None for v in row.values())
+        assert row["status"] == ("failed: ValueError: R - s is not positive "
+                                 "(node 5, value -1.000e-03)")
+        assert row["epsilon"] == "0.1"
 
     def test_row_of_a_run_without_curvature_statistics(self, capsys, tmp_path):
         # at eps 0.5 the exclusion balls cover every node: the run completes

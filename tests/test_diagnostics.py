@@ -17,10 +17,6 @@ class TestCurvatureStats:
         stats = diag.curvature_stats(round_state, 0.3)
         assert stats["sup_dev_half_chi"] < 1e-10
 
-    def test_exclusion_must_clear_cores(self, round_state):
-        with pytest.raises(ValueError, match="2 eps"):
-            diag.curvature_stats(round_state, 0.1)
-
     def test_exclusion_cannot_cover_sphere(self):
         d = Divisor([0.5], [[0.3, 0.4, 0.5]])
         grid = geo.build_grid(64, 128, d)
@@ -38,18 +34,19 @@ class TestClusters:
         d = Divisor([0.3, 0.3, 0.6])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
-        clusters, dmat = diag.marked_point_clusters(st, 0.1)
+        clusters, dmat = diag.marked_point_clusters(st)
         assert clusters == [[0], [1], [2]]
         assert np.allclose(dmat, dmat.T)
 
-    def test_huge_tolerance_single_cluster(self):
+    def test_huge_tolerance_single_cluster(self, monkeypatch):
         d = Divisor([0.3, 0.3, 0.6])
         grid = geo.build_grid(64, 128, d)
         st = geo.make_state(geo.background_metric(grid, d, 0.05))
-        clusters, _ = diag.marked_point_clusters(st, 100.0)
+        monkeypatch.setattr(diag, "CLUSTER_TOL", 100.0)
+        clusters, _ = diag.marked_point_clusters(st)
         assert clusters == [[0, 1, 2]]
 
-    def test_chained_points_form_one_cluster(self):
+    def test_chained_points_form_one_cluster(self, monkeypatch):
         # single linkage: 0-1 and 1-2 are closer than tol, 0-2 is not
         ang = np.radians([0.0, 30.0, 60.0])
         d = Divisor([0.2, 0.2, 0.2], np.stack([np.cos(ang), np.sin(ang), 0 * ang], axis=1))
@@ -58,37 +55,37 @@ class TestClusters:
         dmat = geo.pairwise_marked_distances(st)
         link = max(dmat[0, 1], dmat[1, 2])
         assert link < dmat[0, 2]
-        clusters, _ = diag.marked_point_clusters(st, 0.5 * (link + dmat[0, 2]))
+        monkeypatch.setattr(diag, "CLUSTER_TOL", 0.5 * (link + dmat[0, 2]))
+        clusters, _ = diag.marked_point_clusters(st)
         assert clusters == [[0, 1, 2]]
-
-    def test_tol_validated(self, round_state):
-        with pytest.raises(ValueError):
-            diag.marked_point_clusters(round_state, 0.0)
 
 
 class TestVolumeRatio:
     def test_model_cap_area_limits(self):
+        # small caps are flat discs; a cap to the equator is half the sphere
         assert diag.model_cap_area(0.01, 1.0) == pytest.approx(math.pi * 1e-4, rel=1e-3)
-        assert diag.model_cap_area(100.0, 0.5) == 4.0  # saturates at full area
-        assert diag.model_cap_area(0.3, 0.0) == pytest.approx(math.pi * 0.09)
+        assert diag.model_cap_area(0.5 * math.sqrt(math.pi), 0.5) == pytest.approx(2.0)
 
-    def test_round_small_ball_near_one(self, round_state):
-        val = diag.volume_ratio(round_state, distances_from(round_state, [0.0, 0.0, 1.0]), 0.15)
+    def test_round_small_ball_near_one(self, round_state, monkeypatch):
+        monkeypatch.setattr(diag, "BALL_RADIUS", 0.15)
+        val = diag.volume_ratio(round_state, distances_from(round_state, [0.0, 0.0, 1.0]))
         assert val == pytest.approx(1.0, abs=0.08)
 
-    def test_monotone_in_cone_mass(self):
+    def test_monotone_in_cone_mass(self, monkeypatch):
         # synthetic cone family at small eps (1-D): more mass at the center
         # means smaller balls.  Each grid value is checked against a dense
         # quadrature oracle of the smoothed cap area; the geodesic core size
         # shrinks only like eps^(1-beta), so the family stays at weights
         # whose cores are resolved away from r
         r, eps = 0.15, 1e-3
+        monkeypatch.setattr(diag, "BALL_RADIUS", r)
         vals = []
         for beta in (0.2, 0.35, 0.5):
             d = Divisor([beta], [[0.0, 0.0, 1.0]])
             grid = geo.build_axis_grid(8192, d)
             st = geo.make_state(geo.background_metric(grid, d, eps))
-            ball = geo.ball_volume(st, distances_from(st, grid.marked_points[0]), r)
+            dist = distances_from(st, grid.marked_points[0])
+            ball = diag.volume_ratio(st, dist) * diag.model_cap_area(r, 1.0 - beta)
 
             th = np.linspace(1e-10, math.pi, 2_000_001)
             rho = (1.0 - np.cos(th) + eps * eps) ** -beta
@@ -107,16 +104,18 @@ class TestVolumeRatio:
 
 
 class TestCompareToProfile:
+    @pytest.fixture(autouse=True)
+    def margin(self, monkeypatch):
+        monkeypatch.setattr(diag, "PROFILE_MARGIN", 0.2)
+
     def test_football_state_matches_football(self, football_control):
         prof = sol.soliton_profile(0.55, 0.55)
-        res = diag.compare_to_profile(football_control, prof, margin=0.2)
+        res = diag.compare_to_profile(football_control, prof)
         assert res < 5e-3
 
     def test_football_state_rejects_soliton_profile(self, football_control):
-        right = diag.compare_to_profile(football_control, sol.soliton_profile(0.55, 0.55), margin=0.2)
-        wrong = diag.compare_to_profile(
-            football_control, sol.soliton_profile(0.8, 0.3), margin=0.2
-        )
+        right = diag.compare_to_profile(football_control, sol.soliton_profile(0.55, 0.55))
+        wrong = diag.compare_to_profile(football_control, sol.soliton_profile(0.8, 0.3))
         assert wrong > 10.0 * right
 
     def test_midflow_state_large_residual(self):
@@ -125,7 +124,7 @@ class TestCompareToProfile:
         bg = geo.background_metric(grid, d, 0.05)
         st = geo.make_state(bg, 0.5 * np.cos(3 * grid.theta))
         st = geo.make_state(bg, st.u + math.log(2.0 / st.area()))
-        res = diag.compare_to_profile(st, sol.soliton_profile(0.7, 0.4), margin=0.2)
+        res = diag.compare_to_profile(st, sol.soliton_profile(0.7, 0.4))
         assert res > 0.1
 
     def test_no_bin_inside_the_margins_gives_no_residual(self, monkeypatch):
@@ -133,8 +132,8 @@ class TestCompareToProfile:
         # verdict then has no profile residual and says why
         d = Divisor([0.4, 0.7], [[0, 0, -1.0], [0, 0, 1.0]])
         st = geo.make_state(geo.background_metric(geo.build_axis_grid(256, d), d, 0.05))
-        assert diag.compare_to_profile(st, sol.soliton_profile(0.7, 0.4), margin=1.0) is None
         monkeypatch.setattr(diag, "PROFILE_MARGIN", 1.0)
+        assert diag.compare_to_profile(st, sol.soliton_profile(0.7, 0.4)) is None
         rep = diag.detect_convergence(st)
         assert rep.verdict == "Undecided" and "profile_residual" not in rep.residuals
         assert "no_profile_bins" in rep.caveats
@@ -149,7 +148,7 @@ class TestCompareToProfile:
         bg1 = geo.background_metric(grid1, d1, 0.08)
         st1 = geo.make_state(bg1)
         prof = sol.soliton_profile(0.7, 0.2)
-        r1 = diag.compare_to_profile(st1, prof, margin=0.2)
+        r1 = diag.compare_to_profile(st1, prof)
 
         k = 32  # quarter turn in longitude
         ang = 2 * math.pi * k / 128
@@ -160,7 +159,7 @@ class TestCompareToProfile:
         grid2 = geo.build_grid(64, 128, d2)
         bg2 = geo.background_metric(grid2, d2, 0.08)
         st2 = geo.make_state(bg2)
-        r2 = diag.compare_to_profile(st2, prof, margin=0.2)
+        r2 = diag.compare_to_profile(st2, prof)
         assert r1 == pytest.approx(r2, rel=1e-10)
 
 
@@ -206,6 +205,36 @@ class TestProfileState:
         south_u, north_u = states
         assert np.allclose(south_u, north_u[::-1], rtol=0.0, atol=1e-9)
         assert not np.allclose(south_u, north_u, rtol=0.0, atol=1e-3)
+
+
+class TestThresholds:
+    """Each monitor and verdict constant has one home, the module constant
+    that the functions applying it read, and the report lists those."""
+
+    VERDICT = ("CURVATURE_FLAT_TOL", "CLUSTER_TOL", "DELTA_EXCLUSION", "W_MATCH_TOL",
+               "RESIDUAL_FACTOR", "PROFILE_MARGIN", "PROFILE_TOL")
+
+    @pytest.fixture(scope="class")
+    def state(self):
+        d = Divisor([0.3, 0.3, 0.6])
+        return geo.make_state(geo.background_metric(geo.build_grid(32, 64, d), d, 0.1))
+
+    def test_report_lists_the_module_constants(self, state):
+        rep = diag.detect_convergence(state)
+        assert rep.thresholds == {name.lower(): getattr(diag, name) for name in self.VERDICT}
+
+    def test_functions_read_the_module_constants(self, state, monkeypatch):
+        prof = sol.soliton_profile(0.6, 0.6)
+        dist = state.distance_rows[state.grid.marked_nodes[0]]
+        before = (diag.marked_point_clusters(state)[0], diag.compare_to_profile(state, prof),
+                  diag.volume_ratio(state, dist))
+        assert before[0] == [[0], [1], [2]]
+        monkeypatch.setattr(diag, "CLUSTER_TOL", 100.0)
+        monkeypatch.setattr(diag, "PROFILE_MARGIN", 0.3)
+        monkeypatch.setattr(diag, "BALL_RADIUS", 0.4)
+        assert diag.marked_point_clusters(state)[0] == [[0, 1, 2]]
+        assert diag.compare_to_profile(state, prof) != before[1]
+        assert diag.volume_ratio(state, dist) != before[2]
 
 
 class TestDetectConvergence:

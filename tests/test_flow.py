@@ -433,9 +433,9 @@ class TestImplicitStepper:
             lu = spla.splu((sp.diags(d) + grid.L).tocsc(), permc_spec="COLAMD")
             assert np.array_equal(stepper._backsolve(b), lu.solve(b))
 
-    def test_old_factor_released_and_heap_trimmed_before_refactoring(self, monkeypatch):
-        # before the floor rule fires, each factorization first drops the old
-        # factor and then trims the heap, so two factors never coexist
+    def test_old_factor_released_before_refactoring(self, monkeypatch):
+        # each factorization drops the old factor before it builds the next,
+        # so two factors never coexist, and it leaves the heap untrimmed
         cfg = axis_config(4096, 6e-4)
         grid = geo.build_axis_grid(cfg.n_lat, cfg.divisor)
         stepper = fl._ImplicitStepper(geo.background_metric(grid, cfg.divisor, cfg.eps))
@@ -450,7 +450,7 @@ class TestImplicitStepper:
         d = np.ones(grid.L.shape[0])
         stepper._factor(d)
         stepper._factor(2 * d)
-        assert events == [("trim", None), ("splu", None)] * 2
+        assert events == [("splu", None)] * 2
         assert stepper.lu is not None
 
     @pytest.mark.parametrize("n_lat, n_lon, ordering", [
@@ -490,18 +490,18 @@ class TestImplicitStepper:
         default = spla.splu((sp.diags(d) + grid.L).tocsc(), permc_spec="MMD_AT_PLUS_A")
         assert lu.L.nnz + lu.U.nnz == default.L.nnz + default.U.nnz
 
-    @pytest.mark.parametrize("cfg, n_steps, expected", [
-        (axis_config(8192, 3e-4), 10, ["splu", "trim"] + ["trim", "splu"] + ["splu"] * 10),
-        (small_config(initial="bump", seed=2), 20, ["splu", "trim"] + ["trim", "splu"] * 2),
+    @pytest.mark.parametrize("cfg, n_steps, n_factors", [
+        (axis_config(8192, 3e-4), 10, 11),
+        (small_config(initial="bump", seed=2), 20, 2),
     ], ids=["axis_8192", "bump_32x64"])
     def test_heap_left_untrimmed_once_every_step_refactors(self, monkeypatch, cfg, n_steps,
-                                                            expected):
-        # once the floor rule fires, every step refactors, and a trim would
-        # only hand back the dropped factor's pages for the next one to fault
-        # in again: both runs trim after their order probe; the 1-D run trims
-        # before its fresh factor, and never after; a 2-D run, whose floor
-        # stays below the target, trims before each of its factorizations,
-        # its stall refactorization included
+                                                            n_factors):
+        # a trim before a factorization would only hand back the dropped
+        # factor's pages for the next one to fault in again: both runs trim
+        # once, after their order probe, and at none of their factorizations,
+        # whether every step refactors (the 1-D run, whose floor rule fires)
+        # or refinement stalls once (the 2-D run); no factor is alive at any
+        # of them
         events = []
         stepper = None  # the order probe factors before the stepper exists
 
@@ -519,7 +519,7 @@ class TestImplicitStepper:
         for _ in range(n_steps):
             state, _ = fl.renormalize(fl._semi_implicit_step(state, cfg.dt, stepper))
         assert stepper.floor_above_target is (grid.n_lon == 1)
-        assert events == expected
+        assert events == ["splu", "trim"] + ["splu"] * n_factors
 
     def test_skewed_factor_fails_after_rule_fired(self, capsys, tmp_path, monkeypatch):
         # the rule fired on the first solve, so the third, the first with a

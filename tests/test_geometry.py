@@ -11,6 +11,7 @@ from scipy.linalg import lapack
 from scipy.sparse.csgraph import dijkstra
 
 from conftest import shipped_config
+from conicflow import diagnostics as diag
 from conicflow import flow as fl
 from conicflow import functionals as fn
 from conicflow import geometry as geo
@@ -519,7 +520,7 @@ class TestSharedRows:
         for s, row in st.distance_rows.items():
             assert np.array_equal(row, one[s])
 
-    def test_monitors_equal_one_source_path(self, make_state):
+    def test_monitors_equal_one_source_path(self, make_state, monkeypatch):
         st = make_state()
         grid = st.grid
         one = self.one_source_rows(st, grid.diameter_nodes)
@@ -528,8 +529,10 @@ class TestSharedRows:
         assert np.array_equal(geo.pairwise_marked_distances(st), 0.5 * (d + d.T))
         for n in nodes:
             for r in (0.1, 0.2, 0.5):
+                monkeypatch.setattr(diag, "BALL_RADIUS", r)
                 want = float(np.sum(st.mass[one[n] <= r]))
-                assert geo.ball_volume(st, st.distance_rows[n], r) == want
+                want /= diag.model_cap_area(r, 1.0 - st.background.beta_max())
+                assert diag.volume_ratio(st, st.distance_rows[n]) == want
         diameter = max(float(one[s].max()) for s in grid.diameter_nodes)
         assert geo.diameter_estimate(st) == diameter
 
@@ -705,23 +708,22 @@ class TestMarkedNodes:
 
 
 class TestBallVolume:
+    """The geodesic ball's dg-area, the numerator of ``volume_ratio``."""
+
     @pytest.fixture()
     def north(self, round_state):
         return distances_from(round_state, [0, 0, 1.0])
 
-    def test_zero_radius(self, round_state, north):
-        assert geo.ball_volume(round_state, north, 0.0) == 0.0
+    def test_whole_sphere(self, round_state, north, monkeypatch):
+        r = float(north.max())
+        monkeypatch.setattr(diag, "BALL_RADIUS", r)
+        ball = diag.volume_ratio(round_state, north) * diag.model_cap_area(r, 1.0)
+        assert ball == pytest.approx(2.0, abs=1e-10)
 
-    def test_whole_sphere(self, round_state, north):
-        assert geo.ball_volume(round_state, north, 10.0) == pytest.approx(2.0, abs=1e-10)
-
-    def test_hemisphere(self, round_state, north):
-        r = 0.5 * math.sqrt(math.pi / 2.0)
-        assert geo.ball_volume(round_state, north, r) == pytest.approx(1.0, abs=0.05)
-
-    def test_negative_radius_rejected(self, round_state, north):
-        with pytest.raises(ValueError):
-            geo.ball_volume(round_state, north, -0.1)
+    def test_hemisphere(self, round_state, north, monkeypatch):
+        # the model cap to the equator is the hemisphere, of area 1
+        monkeypatch.setattr(diag, "BALL_RADIUS", 0.5 * math.sqrt(math.pi / 2.0))
+        assert diag.volume_ratio(round_state, north) == pytest.approx(1.0, abs=0.05)
 
 
 class TestSerialization:

@@ -33,9 +33,8 @@ package's own, and the import alone costs ~15 MB of resident memory.
 No module imports ``warnings``: the package raises no warning for a caller
 to silence, and ``soliton-table`` prints its caveats itself.
 
-Only ``flow._ImplicitStepper`` trims the C heap: once in ``__init__``, after
-the order probe, and once in ``_factor``, under a guard on
-``floor_above_target``, so a trim on every step cannot come back unnoticed.
+Only ``flow._ImplicitStepper.__init__`` trims the C heap, once, after the
+order probe, so a trim on every factorization cannot come back unnoticed.
 
 The 1-D and 2-D grids share one code path except in a fixed set of
 definitions, each with its reason, so a new fork on the grid's kind cannot
@@ -232,13 +231,6 @@ def test_no_module_imports_warnings():
     assert importing == []
 
 
-def _guards(scope, node):
-    """Each name read by the test of an ``if`` in ``scope`` around ``node``."""
-    for branch in ast.walk(scope):
-        if isinstance(branch, ast.If) and any(n is node for b in branch.body for n in ast.walk(b)):
-            yield from (name for name, _ in _references(branch.test))
-
-
 def test_only_the_stepper_trims_the_heap():
     sites = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -248,13 +240,10 @@ def test_only_the_stepper_trims_the_heap():
                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for name in ("malloc_trim", "_malloc_trim"):
             for call in _calls(tree, name):
-                scope = [(method, fn) for method, fn in methods
+                scope = [method for method, fn in methods
                          if fn.lineno <= call.lineno <= fn.end_lineno]
-                method, fn = scope[0] if scope else (call.lineno, tree)
-                sites.append((f"{path.stem}:{method}", "floor_above_target" in _guards(fn, call)))
-    # the trim before a factorization stops once the floor rule has fired
-    assert sorted(sites) == [("flow:_ImplicitStepper.__init__", False),
-                             ("flow:_ImplicitStepper._factor", True)]
+                sites.append(f"{path.stem}:{scope[0] if scope else call.lineno}")
+    assert sites == ["flow:_ImplicitStepper.__init__"]
 
 
 #: the definitions that fork on the grid's kind, each for its reason
